@@ -1,25 +1,33 @@
 """Truncated multivariate Taylor jets with exact rational coefficients.
 
 ``Jet`` is a scalar jet at a base point (coordinates are displacements, so
-"the value at the point" is the order-zero coefficient).  ``TensorJet``
-carries a (u, l)-indexed family of jets and realises the tensor operations
-mirroring the graph side: slot permutation, product, trace of the last
-upper/lower pair, derivation prepending a lower slot.  The valuation maps
-noise generators to vector-field jets and the Christoffel generator to twice
-the Christoffel jet, then evaluates graphs by recursive contraction.
+"the value at the point" is the order-zero coefficient).  It is stored
+densely: integer numerators over one positive common denominator, in a
+graded monomial order shared by every jet order, so the monomials of degree
+<= r are a prefix of the list and truncation is a slice.  Products run over
+cached index tables; every result divides out the gcd of its denominator and
+numerators, which keeps the representation canonical.  ``TensorJet`` carries
+a (u, l)-indexed family of jets and realises the tensor operations mirroring
+the graph side: slot permutation, product, trace of the last upper/lower
+pair, derivation prepending a lower slot.  The valuation maps noise
+generators to vector-field jets and the Christoffel generator to twice the
+Christoffel jet, then evaluates graphs by recursive contraction.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 
 from .algebra import LinComb
-from .graphs import DegreeError, XGraph
+from .graphs import DegreeError, ParseError, XGraph
 from .symbols import GAMMA, GPAIR, NOISE, iota_expand
 
 
 def _multi_indices(d, order):
+    """Monomials of total degree <= order, graded by degree."""
     if d == 0:
         yield ()
         return
@@ -34,20 +42,82 @@ def _multi_indices(d, order):
             yield tuple(idx)
 
 
-class Jet:
-    """Scalar jet: map from multi-indices (total degree <= order) to Fraction."""
+@lru_cache(maxsize=None)
+def _monomials(d, order):
+    return tuple(_multi_indices(d, order))
 
-    __slots__ = ("d", "order", "coeffs")
+
+@lru_cache(maxsize=None)
+def _positions(d, order):
+    return {m: i for i, m in enumerate(_monomials(d, order))}
+
+
+@lru_cache(maxsize=None)
+def _mul_table(d, order):
+    """Row i lists the (j, k) with monomial i + monomial j = monomial k.
+
+    The layout is graded, so for monomial i of degree s the partners j are
+    exactly the first ``len(_monomials(d, order - s))`` positions.
+    """
+    monos, pos = _monomials(d, order), _positions(d, order)
+    return tuple(
+        tuple((j, pos[tuple(x + y for x, y in zip(a, b))])
+              for j, b in enumerate(_monomials(d, order - sum(a))))
+        for a in monos)
+
+
+@lru_cache(maxsize=None)
+def _partial_table(d, order, k):
+    """Per monomial m of degree <= order: (position of m + e_k, m[k] + 1)."""
+    pos = _positions(d, order + 1)
+    out = []
+    for m in _monomials(d, order):
+        up = list(m)
+        up[k] += 1
+        out.append((pos[tuple(up)], up[k]))
+    return tuple(out)
+
+
+def _jet(d, order, nums, den):
+    """A Jet from dense numerators over ``den`` > 0, in lowest terms."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [x // g for x in nums]
+        den //= g
+    j = object.__new__(Jet)
+    j.d, j.order, j.nums, j.den = d, order, nums, den
+    return j
+
+
+class Jet:
+    """Scalar jet: coefficients of the monomials of total degree <= order.
+
+    ``nums[i] / den`` is the coefficient of ``_monomials(d, order)[i]``;
+    ``gcd(den, *nums) == 1``, so equal jets have equal fields.
+    """
+
+    __slots__ = ("d", "order", "nums", "den")
 
     def __init__(self, d, order, coeffs=None):
         self.d = d
         self.order = order
-        self.coeffs = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                v = Fraction(v)
-                if v and sum(k) <= order:
-                    self.coeffs[tuple(k)] = v
+        self.nums = [0] * len(_monomials(d, order))
+        self.den = 1
+        if not coeffs:
+            return
+        kept = {}
+        for k, v in coeffs.items():
+            k = tuple(k)
+            if len(k) != d or any(x < 0 for x in k):
+                raise ValueError(f"bad multi-index {k!r} for d={d}")
+            v = Fraction(v)
+            if v and sum(k) <= order:
+                kept[k] = v
+        if kept:
+            pos = _positions(d, order)
+            self.den = lcm(*(v.denominator for v in kept.values()))
+            for k, v in kept.items():
+                self.nums[pos[k]] = v.numerator * (self.den // v.denominator)
 
     @classmethod
     def constant(cls, d, order, value):
@@ -59,64 +129,86 @@ class Jet:
         idx[k] = 1
         return cls(d, order, {tuple(idx): Fraction(1)})
 
+    @property
+    def coeffs(self):
+        """Read-only view: {multi_index: Fraction} of the nonzero terms."""
+        monos, den = _monomials(self.d, self.order), self.den
+        return {m: Fraction(x, den) for m, x in zip(monos, self.nums) if x}
+
     def value(self):
         """The order-zero coefficient: the value at the base point."""
-        return self.coeffs.get(tuple([0] * self.d), Fraction(0))
+        return Fraction(self.nums[0], self.den) if self.nums else Fraction(0)
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return Jet(self.d, min(self.order, other.order), out)
+        a, b, da, db = self.nums, other.nums, self.den, other.den
+        if da == db:
+            nums = [x + y for x, y in zip(a, b)]
+        else:
+            g = gcd(da, db)
+            sa, sb = db // g, da // g
+            nums = [x * sa + y * sb for x, y in zip(a, b)]
+            da *= sa
+        return _jet(self.d, min(self.order, other.order), nums, da)
 
     def __sub__(self, other):
-        return self + (-1) * other
+        return self + -other
 
     def __rmul__(self, scalar):
         s = Fraction(scalar)
-        return Jet(self.d, self.order, {k: s * v for k, v in self.coeffs.items()})
+        p = s.numerator
+        return _jet(self.d, self.order, [x * p for x in self.nums],
+                    self.den * s.denominator)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return self.__rmul__(other)
         order = min(self.order, other.order)
-        out = {}
-        for k1, v1 in self.coeffs.items():
-            if sum(k1) > order:
-                continue
-            for k2, v2 in other.coeffs.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                if sum(k) > order:
-                    continue
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
-        return Jet(self.d, order, out)
+        b = other.nums
+        out = [0] * len(_monomials(self.d, order))
+        for x, row in zip(self.nums, _mul_table(self.d, order)):
+            if x:
+                for j, k in row:
+                    out[k] += x * b[j]
+        return _jet(self.d, order, out, self.den * other.den)
 
     def __neg__(self):
-        return (-1) * self
+        return _jet(self.d, self.order, [-x for x in self.nums], self.den)
 
     def partial(self, k):
         """Derivative in direction k; the effective order drops by one."""
-        out = {}
-        for idx, v in self.coeffs.items():
-            if idx[k] == 0:
-                continue
-            new = list(idx)
-            new[k] -= 1
-            out[tuple(new)] = v * idx[k]
-        return Jet(self.d, self.order - 1, out)
+        a, order = self.nums, self.order - 1
+        return _jet(self.d, order,
+                    [a[i] * f for i, f in _partial_table(self.d, order, k)],
+                    self.den)
 
     def truncate(self, order):
-        return Jet(self.d, order, self.coeffs)
+        n = len(_monomials(self.d, order))
+        nums = self.nums[:n]
+        nums += [0] * (n - len(nums))
+        return _jet(self.d, order, nums, self.den)
+
+    def _without_constant(self):
+        """The jet minus its value at the base point."""
+        nums = self.nums[:]
+        if nums:
+            nums[0] = 0
+        return _jet(self.d, self.order, nums, self.den)
 
     def __eq__(self, other):
-        return (isinstance(other, Jet) and self.d == other.d
-                and self.coeffs == other.coeffs)
+        if not isinstance(other, Jet) or self.d != other.d \
+                or self.den != other.den:
+            return False
+        a, b = self.nums, other.nums
+        if len(a) > len(b):
+            a, b = b, a
+        return a == b[:len(a)] and not any(b[len(a):])
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return any(self.nums)
 
     def __repr__(self):
-        return f"Jet(d={self.d}, o={self.order}, {len(self.coeffs)} terms)"
+        terms = sum(1 for x in self.nums if x)
+        return f"Jet(d={self.d}, o={self.order}, {terms} terms)"
 
 
 def zero_jet(d, order):
@@ -125,10 +217,9 @@ def zero_jet(d, order):
 
 def jet_inv_sqrt(j: Jet) -> Jet:
     """(1 + u)^(-1/2) for j = 1 + u with u of positive valuation."""
-    one = tuple([0] * j.d)
-    if j.coeffs.get(one) != 1:
+    if j.value() != 1:
         raise ValueError("jet_inv_sqrt needs constant term exactly 1")
-    u = Jet(j.d, j.order, {k: v for k, v in j.coeffs.items() if k != one})
+    u = j._without_constant()
     out = Jet.constant(j.d, j.order, 1)
     term = Jet.constant(j.d, j.order, 1)
     coef = Fraction(1)
@@ -148,8 +239,7 @@ def matrix_inverse(mat):
     const = [[mat[i][j].value() for j in range(n)] for i in range(n)]
     inv0 = _rational_matrix_inverse(const)
     # X = inv0 * sum_k (-(A - A0) inv0)^k ; the deviation has valuation >= 1.
-    deviation = [[Jet(d, order, {k: v for k, v in mat[i][j].coeffs.items()
-                                 if sum(k) > 0}) for j in range(n)]
+    deviation = [[mat[i][j]._without_constant() for j in range(n)]
                  for i in range(n)]
     b0 = [[Jet.constant(d, order, inv0[i][j]) for j in range(n)] for i in range(n)]
     term = b0
@@ -199,6 +289,17 @@ def _sum_jets(js):
     return out
 
 
+def _accumulate(out, key, j, order):
+    """out[key] += j, where a missing entry is the zero jet of ``order``."""
+    s = out.get(key)
+    if s is not None:
+        out[key] = s + j
+    elif j.order > order:
+        out[key] = j.truncate(order)
+    else:
+        out[key] = j
+
+
 class TensorJet:
     """A (u, l)-graded array of jets; keys are (lower..., upper...) tuples."""
 
@@ -217,7 +318,8 @@ class TensorJet:
         return (self.u, self.l)
 
     def comp(self, key):
-        return self.comps.get(tuple(key), zero_jet(self.d, self.order))
+        j = self.comps.get(tuple(key))
+        return zero_jet(self.d, self.order) if j is None else j
 
     def keys(self):
         return itertools.product(range(self.d), repeat=self.l + self.u)
@@ -265,7 +367,7 @@ class TensorJet:
             lows, ups = k[:self.l], k[self.l:]
             nk = (tuple(lows[ipl[i]] for i in range(self.l))
                   + tuple(ups[ipu[i]] for i in range(self.u)))
-            out[nk] = out.get(nk, zero_jet(self.d, self.order)) + j
+            _accumulate(out, nk, j, self.order)
         return TensorJet(self.u, self.l, self.d, self.order, out)
 
     def product(self, other):
@@ -277,7 +379,7 @@ class TensorJet:
                 nk = l1 + l2 + u1 + u2
                 j = j1 * j2
                 if j:
-                    out[nk] = out.get(nk, zero_jet(self.d, self.order)) + j
+                    _accumulate(out, nk, j, self.order)
         return TensorJet(self.u + other.u, self.l + other.l, self.d,
                          min(self.order, other.order), out)
 
@@ -290,7 +392,7 @@ class TensorJet:
             if lows[-1] != ups[-1]:
                 continue
             nk = lows[:-1] + ups[:-1]
-            out[nk] = out.get(nk, zero_jet(self.d, self.order)) + j
+            _accumulate(out, nk, j, self.order)
         return TensorJet(self.u - 1, self.l - 1, self.d, self.order, out)
 
     def derive(self):
@@ -300,7 +402,7 @@ class TensorJet:
                 dj = j.partial(b)
                 if dj:
                     nk = (b,) + k
-                    out[nk] = out.get(nk, zero_jet(self.d, self.order)) + dj
+                    _accumulate(out, nk, dj, self.order)
         return TensorJet(self.u, self.l + 1, self.d, self.order - 1, out)
 
     def contract_lower(self, pos, vec):
@@ -317,7 +419,7 @@ class TensorJet:
             nk = lows[:pos - 1] + lows[pos:] + ups
             pj = j * val
             if pj:
-                out[nk] = out.get(nk, zero_jet(self.d, self.order)) + pj
+                _accumulate(out, nk, pj, self.order)
         return TensorJet(self.u, self.l - 1, self.d, min(self.order, vec.order), out)
 
     def __repr__(self):
@@ -331,23 +433,47 @@ def vector_jet(d, order, jets) -> TensorJet:
 def format_jet(j: Jet) -> str:
     """One ``(multi_index) = p/q`` line per coefficient, sorted."""
     lines = [f"jet d={j.d} order={j.order}"]
-    for idx in sorted(j.coeffs):
-        lines.append(f"({','.join(str(k) for k in idx)}) = {j.coeffs[idx]}")
+    coeffs = j.coeffs
+    for idx in sorted(coeffs):
+        lines.append(f"({','.join(str(k) for k in idx)}) = {coeffs[idx]}")
     return "\n".join(lines)
 
 
 def parse_jet(text: str) -> Jet:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "jet":
-        raise ValueError("expected 'jet d=<d> order=<order>' header")
-    kv = dict(p.split("=") for p in head[1:])
-    d, order = int(kv["d"]), int(kv["order"])
+    """Inverse of ``format_jet``; errors carry the 1-based line number."""
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
+    if not lines:
+        raise ParseError(1, "missing 'jet d=<d> order=<order>' header")
+    lineno, head = lines[0]
+    try:
+        word, *pairs = head.split()
+        kv = dict(p.split("=") for p in pairs)
+        if word != "jet" or set(kv) != {"d", "order"}:
+            raise ValueError
+        d, order = int(kv["d"]), int(kv["order"])
+        if d < 1:
+            raise ValueError
+    except ValueError:
+        raise ParseError(lineno,
+                         "expected 'jet d=<d> order=<order>' header") from None
     coeffs = {}
-    for ln in lines[1:]:
-        left, right = ln.split("=")
-        idx = tuple(int(x) for x in left.strip().strip("()").split(","))
-        coeffs[idx] = Fraction(right.strip())
+    for lineno, ln in lines[1:]:
+        left, eq, right = ln.partition("=")
+        if not eq:
+            raise ParseError(lineno, "expected '(<index>,...) = <rational>'")
+        left, right = left.strip(), right.strip()
+        try:
+            idx = tuple(int(x) for x in left.strip("()").split(","))
+        except ValueError:
+            raise ParseError(lineno, f"bad multi-index {left!r}") from None
+        if len(idx) != d or any(x < 0 for x in idx):
+            raise ParseError(lineno, f"multi-index {left} is not "
+                                     f"{d} nonnegative integers")
+        try:
+            coeffs[idx] = Fraction(right)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(lineno, f"bad rational {right!r}") from None
     return Jet(d, order, coeffs)
 
 
@@ -362,15 +488,6 @@ def tensors_agree(t1: TensorJet, t2: TensorJet, order=None) -> bool:
                for k in keys)
 
 
-def tensor_from_fn(u, l, d, order, fn) -> TensorJet:
-    comps = {}
-    for key in itertools.product(range(d), repeat=u + l):
-        j = fn(*key)
-        if j:
-            comps[key] = j
-    return TensorJet(u, l, d, order, comps)
-
-
 # -- the valuation -------------------------------------------------------------
 
 class Valuation:
@@ -382,8 +499,22 @@ class Valuation:
         self.h = h
         self.d = gamma.d if gamma is not None else self.sigmas[0].d
         self.order = gamma.order if gamma is not None else self.sigmas[0].order
+        self._generators = {}
 
-    def generator_tensor(self, name):
+    def generator_tensor(self, name, k=0):
+        """The jet of generator ``name`` derived k times, cached per (name, k).
+
+        The cache relies on ``gamma``, ``sigmas`` and ``h`` staying unchanged
+        after construction.
+        """
+        tens = self._generators.get((name, k))
+        if tens is None:
+            tens = (self._generator(name) if k == 0
+                    else self.generator_tensor(name, k - 1).derive())
+            self._generators[(name, k)] = tens
+        return tens
+
+    def _generator(self, name):
         if name == GAMMA.name:
             return 2 * self.gamma
         if name == NOISE.name:
@@ -427,10 +558,8 @@ class Valuation:
             if v in memo:
                 return memo[v]
             t = g.types[v]
-            tens = self.generator_tensor(t.name)
             stars = children[v]["star"]
-            for _ in stars:
-                tens = tens.derive()
+            tens = self.generator_tensor(t.name, len(stars))
             # lower slots now: [stars..., natives...]; contract from the front
             for w in stars:
                 tens = tens.contract_lower(1, value(w))
@@ -453,10 +582,7 @@ class Valuation:
         prod = TensorJet(0, 0, self.d, self.order,
                          {(): Jet.constant(self.d, self.order, 1)})
         for dcount, t in parts:
-            piece = self.generator_tensor(t.name)
-            for _ in range(dcount):
-                piece = piece.derive()
-            prod = prod.product(piece)
+            prod = prod.product(self.generator_tensor(t.name, dcount))
         out = prod.act(alpha)
         for _ in range(m):
             out = out.trace()
@@ -490,11 +616,6 @@ def _is_rooted_forest(g: XGraph) -> bool:
         return False
     ups = sum(1 for d in g.wiring.values() if d[0] == "u")
     return ups == g.u
-
-
-def upsilon(gamma: TensorJet, sigmas, element, h: TensorJet = None) -> TensorJet:
-    """Evaluate an element of the symbol span on concrete jets."""
-    return Valuation(gamma, sigmas, h)(element)
 
 
 # -- differential geometry oracles ---------------------------------------------

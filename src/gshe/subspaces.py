@@ -1,10 +1,12 @@
 """Exact rational linear algebra over canonical-graph bases.
 
-Matrices are lists of rows of Fractions.  Elimination is fraction-free in
-the Bareiss style on a cleared-denominator copy, so all pivots stay integral;
-results are converted back to Fractions.  On top of this the module computes
-the geometric, Ito and nice subspaces of the 54-dimensional symbol space and
-checks every printed dimension.
+Matrices are lists of rows of Fractions.  Elimination runs on an integer
+copy with each row's denominators cleared: a row is eliminated by
+cross-multiplying it with the pivot row and then dividing out the gcd of its
+entries, so all entries stay integral; results are converted back to
+Fractions.  On top of this the module computes the geometric, Ito and nice
+subspaces of the 54-dimensional symbol space and checks every printed
+dimension.
 """
 
 from __future__ import annotations
@@ -35,8 +37,10 @@ def _clear_rows(mat):
 def rref(mat):
     """Reduced row echelon form (exact); returns (rows, pivot columns).
 
-    Elimination runs fraction-free (Bareiss) on an integer copy; the final
-    normalisation divides each pivot row by its pivot.
+    Elimination runs on an integer copy: each row is cleared against the
+    pivot row by cross-multiplication (pivot * row - entry * pivot row) and
+    then divided by the gcd of its entries.  The final normalisation divides
+    each pivot row by its pivot.
     """
     if not mat:
         return [], []

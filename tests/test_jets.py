@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gshe.algebra import LinComb, act, derive, product, trace
 from gshe.jets import (InversionError, Jet, TensorJet, Valuation,
@@ -11,7 +13,9 @@ from gshe.jets import (InversionError, Jet, TensorJet, Valuation,
                        levi_civita, matrix_inverse, nabla_inverse_metric,
                        random_gamma, random_jet, random_vector_field,
                        riemann, scalar_curvature_gradient, sphere_frame,
-                       tensors_agree, vector_jet, zero_jet, _mat_mul)
+                       tensors_agree, vector_jet, zero_jet, _mat_mul,
+                       format_jet, parse_jet)
+from gshe.graphs import ParseError
 from gshe.morphisms import tau_c, tau_star
 from gshe.randgraphs import random_graph, random_permutation
 from gshe.subspaces import from_coords, intersect, s_geo, s_nice
@@ -358,3 +362,149 @@ def test_in_symbol_span():
     # and the degree check rejects products of two root symbols
     assert not in_symbol_span(product(LinComb.of(basis[1]),
                                       LinComb.of(basis[1])))
+
+
+# -- dense jets against the dict-of-Fraction reference ---------------------------
+
+class RefJet:
+    """The sparse dict-of-Fraction jet the dense ``Jet`` replaced; an oracle."""
+
+    def __init__(self, d, order, coeffs=None):
+        self.d = d
+        self.order = order
+        self.coeffs = {}
+        if coeffs:
+            for k, v in coeffs.items():
+                v = Fraction(v)
+                if v and sum(k) <= order:
+                    self.coeffs[tuple(k)] = v
+
+    def value(self):
+        return self.coeffs.get(tuple([0] * self.d), Fraction(0))
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out.get(k, Fraction(0)) + v
+        return RefJet(self.d, min(self.order, other.order), out)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __rmul__(self, scalar):
+        s = Fraction(scalar)
+        return RefJet(self.d, self.order,
+                      {k: s * v for k, v in self.coeffs.items()})
+
+    def __mul__(self, other):
+        if not isinstance(other, RefJet):
+            return self.__rmul__(other)
+        order = min(self.order, other.order)
+        out = {}
+        for k1, v1 in self.coeffs.items():
+            if sum(k1) > order:
+                continue
+            for k2, v2 in other.coeffs.items():
+                k = tuple(a + b for a, b in zip(k1, k2))
+                if sum(k) > order:
+                    continue
+                out[k] = out.get(k, Fraction(0)) + v1 * v2
+        return RefJet(self.d, order, out)
+
+    def partial(self, k):
+        out = {}
+        for idx, v in self.coeffs.items():
+            if idx[k] == 0:
+                continue
+            new = list(idx)
+            new[k] -= 1
+            out[tuple(new)] = v * idx[k]
+        return RefJet(self.d, self.order - 1, out)
+
+    def truncate(self, order):
+        return RefJet(self.d, order, self.coeffs)
+
+    def __eq__(self, other):
+        return (isinstance(other, RefJet) and self.d == other.d
+                and self.coeffs == other.coeffs)
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _coeff_dicts(draw, d, order):
+    monos = [k for k in itertools.product(range(order + 1), repeat=d)
+             if sum(k) <= order]
+    return draw(st.dictionaries(st.sampled_from(monos), _RATIONALS,
+                                max_size=len(monos)))
+
+
+@st.composite
+def _jet_pairs(draw):
+    """Two jets of one dimension d in {1, 2, 3}, orders 0-5 drawn apart."""
+    d = draw(st.integers(1, 3))
+    pair = []
+    for _ in range(2):
+        order = draw(st.integers(0, 5))
+        coeffs = draw(_coeff_dicts(d, order))
+        pair.append((Jet(d, order, coeffs), RefJet(d, order, coeffs)))
+    if draw(st.booleans()):  # an equal-up-to-order partner now and then
+        j, r = pair[0]
+        cut = draw(st.integers(0, 5))
+        pair[1] = (j.truncate(cut), r.truncate(cut))
+    return d, pair
+
+
+def _same(j, r):
+    return (j.d == r.d and j.order == r.order and j.coeffs == r.coeffs
+            and bool(j) == bool(r) and j.value() == r.value()
+            and format_jet(j) == format_jet(r))
+
+
+@given(_jet_pairs(), _RATIONALS, st.integers(0, 2), st.integers(-1, 6))
+@settings(max_examples=300, deadline=None)
+def test_dense_jet_matches_reference(pair, scalar, k, cut):
+    d, ((a, ra), (b, rb)) = pair
+    k %= d
+    assert _same(a, ra) and _same(b, rb)
+    assert _same(a + b, ra + rb)
+    assert _same(a - b, ra - rb)
+    assert _same(scalar * a, scalar * ra)
+    assert _same(a * scalar, ra * scalar)
+    assert _same(a * b, ra * rb)
+    assert _same(a.partial(k), ra.partial(k))
+    assert _same(a.partial(k).partial(k), ra.partial(k).partial(k))
+    assert _same(a.truncate(cut), ra.truncate(cut))
+    assert (a == b) == (ra == rb)
+    assert (a * b == b * a) and (a + b == b + a)
+
+
+def test_partial_of_order_zero_jet_is_empty():
+    c = Jet.constant(2, 0, 7)
+    dc = c.partial(1)
+    assert dc.order == -1 and not dc and dc.value() == 0
+    assert dc == zero_jet(2, 3)
+    assert format_jet(dc) == "jet d=2 order=-1"
+
+
+@pytest.mark.parametrize("idx", [(1,), (0, 0, 1), (-1, 2)])
+def test_jet_rejects_bad_multi_index(idx):
+    with pytest.raises(ValueError):
+        Jet(2, 3, {idx: 1})
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("jet d=2\n(0,0) = 1", 1),
+    ("jet d=2 order=3\n(0,0) = 1\n\n(1,0) 2", 4),
+    ("jet d=2 order=3\n(0,x) = 1", 2),
+    ("jet d=2 order=3\n(0,0) = 1\n(1,0) = 1/0", 3),
+    ("jet d=2 order=3\n(0,0,1) = 1", 2),
+])
+def test_parse_jet_reports_line_numbers(text, lineno):
+    with pytest.raises(ParseError) as err:
+        parse_jet(text)
+    assert err.value.lineno == lineno
