@@ -1,41 +1,22 @@
 #!/usr/bin/env python3
-"""Sphere-valued loop evolution: snapshots and a refinement table.
+"""Zero-noise refinement table for the sphere-valued loop evolution.
 
-Reproduces the qualitative picture of a noisy loop wobbling on the sphere
-while staying inside a tube around it, plus the deterministic convergence
-study showing the off-sphere distance scaling away under refinement.
+Halving the grid spacing and the time step together at a fixed horizon
+shows the off-sphere distance scaling away under refinement.  Noisy
+snapshots come from ``gshe sim --target sphere``.
 """
 
-import argparse
-import csv
 import math
 
 from gshe.renorm import sphere_simulate
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--n", type=int, default=64)
-    ap.add_argument("--steps", type=int, default=600)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--noise", type=float, default=1.0)
-    ap.add_argument("--out", default="sphere_snapshots.csv")
-    args = ap.parse_args()
-
-    res = sphere_simulate(n_grid=args.n, n_steps=args.steps, seed=args.seed,
-                          noise_scale=args.noise, snapshots=8)
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("t", "x", "u1", "u2", "u3"))
-        w.writerows(res["snapshots"])
-    print(f"wrote {args.out}; max ||u|-1| = {res['max_dist']:.3e}")
-    print("loop lengths:", " ".join(f"{x:.4f}" for x in res["lengths"]))
-
     print("refinement (zero noise, fixed horizon):")
     T = 0.05
     n, dt = 32, 0.05 * (2 * math.pi / 32) ** 2
     prev = None
-    for level in range(3):
+    for _ in range(3):
         out = sphere_simulate(n_grid=n, dt=dt, n_steps=int(T / dt),
                               noise_scale=0.0)
         ratio = "" if prev is None else f"  ratio {prev / out['max_dist']:.2f}"

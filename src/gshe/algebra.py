@@ -147,11 +147,6 @@ def invert_perm(p):
     return tuple(inv)
 
 
-def compose_perm(p, q):
-    """(p o q)(i) = p(q(i))."""
-    return tuple(p[q[i] - 1] for i in range(len(q)))
-
-
 def block_perm(p1, p2):
     """Concatenation p1 . p2 acting on the first block then the second."""
     n1 = len(p1)
@@ -486,7 +481,11 @@ def parse_lincomb(text: str, generators) -> LinComb:
             continue
         if "*" not in line or not line.endswith("{"):
             raise ParseError(i + 1, "expected '<rational> * {'")
-        coeff = Fraction(line.split("*")[0].strip())
+        tok = line.split("*")[0].strip()
+        try:
+            coeff = Fraction(tok)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(i + 1, f"bad coefficient {tok!r}") from None
         start = i + 1
         j = start
         while j < len(lines) and lines[j].strip() != "}":

@@ -134,10 +134,6 @@ def _norm_src(s):
     return (-1, s[1]) if s[0] == "l" else s
 
 
-def _norm_dst(d):
-    return (-1, d[1]) if d[0] == "u" else d
-
-
 class XGraph:
     """Immutable decorated graph; hashes and compares by canonical form."""
 
@@ -386,23 +382,28 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
+def _ints(tokens, lineno, what):
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise ParseError(lineno, f"bad {what} {' '.join(tokens)!r}") from None
+
+
 def _parse_src(tok, lineno):
     if tok.startswith("low:"):
-        return ("l", int(tok[4:]))
-    if ".out:" in tok:
-        v, j = tok.split(".out:")
-        return (int(v), int(j))
+        return ("l", *_ints([tok[4:]], lineno, "edge source"))
+    if tok.count(".out:") == 1:
+        return tuple(_ints(tok.split(".out:"), lineno, "edge source"))
     raise ParseError(lineno, f"bad edge source {tok!r}")
 
 
 def _parse_dst(tok, lineno):
     if tok.startswith("up:"):
-        return ("u", int(tok[3:]))
+        return ("u", *_ints([tok[3:]], lineno, "edge target"))
     if tok.endswith(".star"):
-        return (int(tok[:-5]), 0)
-    if ".in:" in tok:
-        v, j = tok.split(".in:")
-        return (int(v), int(j))
+        return (*_ints([tok[:-5]], lineno, "edge target"), 0)
+    if tok.count(".in:") == 1:
+        return tuple(_ints(tok.split(".in:"), lineno, "edge target"))
     raise ParseError(lineno, f"bad edge target {tok!r}")
 
 
@@ -415,7 +416,7 @@ def parse_graph(text, generators, offset=0):
     types = []
     wiring = {}
     pairing = []
-    for i, raw in enumerate(text.strip().splitlines()):
+    for i, raw in enumerate(text.splitlines()):
         lineno = offset + i + 1
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -430,7 +431,7 @@ def parse_graph(text, generators, offset=0):
         elif parts[0] == "v":
             if len(parts) != 3:
                 raise ParseError(lineno, "expected 'v <id> <typename>'")
-            vid, tname = int(parts[1]), parts[2]
+            (vid,), tname = _ints(parts[1:2], lineno, "vertex id"), parts[2]
             if vid != len(types):
                 raise ParseError(lineno, f"vertex ids must be consecutive, got {vid}")
             if tname not in generators:
@@ -449,7 +450,7 @@ def parse_graph(text, generators, offset=0):
                 raise ParseError(lineno, f"unknown directive {parts[0]!r}")
             if len(parts) != 3:
                 raise ParseError(lineno, "expected 'pair <id> <id>'")
-            pairing.append((int(parts[1]), int(parts[2])))
+            pairing.append(tuple(_ints(parts[1:], lineno, "pair")))
     if u is None:
         raise ParseError(offset + 1, "missing 'xgraph' header")
     try:

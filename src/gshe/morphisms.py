@@ -19,7 +19,7 @@ from functools import lru_cache
 from .algebra import (LinComb, generator, graft, product,
                       substitute_vertex, trace)
 from .graphs import DegreeError, PairingError, XGraph
-from .symbols import DIFF, GAMMA, GPAIR, NOISE, labeled_noise
+from .symbols import DIFF, GAMMA, GPAIR, NOISE, forget_labels, labeled_noise
 
 
 def in_symbol_span(a: LinComb, allow_h=True) -> bool:
@@ -86,29 +86,8 @@ def expand_labeled(word) -> LinComb:
 
 def expand_word(word) -> LinComb:
     """Expand a word and pair the a-atoms together and the b-atoms together."""
-    labelled = expand_labeled(word)
-
-    def per_graph(g):
-        types = []
-        groups = {}
-        for v, t in enumerate(g.types):
-            if t.name in ("Xi1", "Xi2"):
-                groups.setdefault("a", []).append(v)
-                types.append(NOISE)
-            elif t.name in ("Xi3", "Xi4"):
-                groups.setdefault("b", []).append(v)
-                types.append(NOISE)
-            else:
-                types.append(t)
-        pairing = [tuple(vs) for vs in groups.values() if len(vs) == 2]
-        if sum(len(vs) for vs in groups.values()) != 2 * len(pairing):
-            raise PairingError("labelled atoms must occur exactly twice each")
-        return LinComb.of(XGraph(g.u, g.l, types, g.wiring, pairing))
-
-    return labelled.map_terms(per_graph)
-
-
-NABLA_NN_WORD = ("nabla", "a1", "a2")
+    return forget_labels(expand_labeled(word),
+                         pair_by={"Xi1": "a", "Xi2": "a", "Xi3": "b", "Xi4": "b"})
 
 
 @lru_cache(maxsize=None)

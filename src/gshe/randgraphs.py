@@ -67,15 +67,6 @@ def random_lincomb(rng, gens, n_terms=2, degree=None, coeff_range=3, **kw):
     return out
 
 
-def random_degree_graph(rng, gens, degree, **kw):
-    """Rejection-sample a graph of a fixed degree."""
-    for _ in range(2000):
-        g = random_graph(rng, gens, **kw)
-        if g.degree == degree:
-            return g
-    raise RuntimeError(f"no graph of degree {degree} sampled")
-
-
 def random_permutation(rng, n):
     p = list(range(1, n + 1))
     rng.shuffle(p)

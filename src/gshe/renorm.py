@@ -24,19 +24,9 @@ def heat_kernel(t, x):
     """Whole-line heat kernel for d/dt = d^2/dx^2 (so variance 2t)."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
-    out = np.zeros(np.broadcast(t, x).shape)
     pos = t > 0
     tt = np.where(pos, t, 1.0)
-    out = np.where(pos, np.exp(-x * x / (4.0 * tt)) / np.sqrt(4.0 * math.pi * tt), 0.0)
-    return out
-
-
-def heat_kernel_dx(t, x):
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    pos = t > 0
-    tt = np.where(pos, t, 1.0)
-    return np.where(pos, -x / (2.0 * tt) * heat_kernel(t, x), 0.0)
+    return np.where(pos, np.exp(-x * x / (4.0 * tt)) / np.sqrt(4.0 * math.pi * tt), 0.0)
 
 
 @dataclass(frozen=True)
@@ -247,7 +237,7 @@ def ou_loop_covariance(N: int):
     return a2, a1
 
 
-def ou_loop_mc(N: int, n_steps=3000, burn=300, seed=0, dt_factor=0.25):
+def ou_loop_mc(N: int, n_steps=3000, burn=300, seed=0):
     """Monte-Carlo estimate of the same statistics via exact per-mode OU steps.
 
     Uses the real FFT layout: the DFT of the site-wise system diagonalises
@@ -262,7 +252,7 @@ def ou_loop_mc(N: int, n_steps=3000, burn=300, seed=0, dt_factor=0.25):
     theta = 2.0 * math.pi * k / N
     lam = np.where(k > 0, (2.0 - 2.0 * np.cos(theta)) / eps ** 2, 1.0)
     stat = np.where(k > 0, N * eps / np.maximum(2.0 - 2.0 * np.cos(theta), 1e-300), 0.0)
-    dt = dt_factor * eps ** 2
+    dt = 0.25 * eps ** 2
     decay = np.exp(-lam * dt)
     step_var = stat * (1.0 - decay ** 2)
     real_mode = np.zeros(half + 1, dtype=bool)
@@ -304,17 +294,27 @@ class StabilityError(RuntimeError):
     pass
 
 
+def laplacian_symbol(k, n):
+    """Eigenvalue of minus the periodic second difference on the n-point
+    circle grid (dx = 2 pi / n) at wavenumber k, a number or an array."""
+    dx = 2.0 * math.pi / n
+    return (2.0 - 2.0 * np.cos(2.0 * math.pi * k / n)) / dx ** 2
+
+
+def periodic_laplacian(n):
+    """The grid's wavenumbers in FFT order and their Laplacian eigenvalues."""
+    k_all = np.fft.fftfreq(n, d=1.0 / n)
+    return k_all, laplacian_symbol(k_all, n)
+
+
 @dataclass
 class SimConfig:
     n_grid: int = 64
     dt: float = None
-    eps: float = 0.1
     dim: int = 1
     n_noise: int = 1
     seed: int = 0
-    target: str = "flat"
     sigma: np.ndarray = None
-    n_steps: int = 2000
     burn: int = 500
     noise_scale: float = 1.0
 
@@ -337,14 +337,13 @@ def flat_mode_variance_oracle(cfg: SimConfig, k: int):
     """
     N = cfg.n_grid
     dx = 2.0 * math.pi / N
-    lam = (2.0 - 2.0 * math.cos(2.0 * math.pi * k / N)) / dx ** 2
-    a = 1.0 / (1.0 + cfg.dt * lam)
+    a = 1.0 / (1.0 + cfg.dt * laplacian_symbol(k, N))
     gain = cfg.dt / dx * N * a ** 2 / (1.0 - a ** 2)
     ssT = cfg.sigma @ cfg.sigma.T * cfg.noise_scale ** 2
     return np.diag(ssT) * gain
 
 
-def she_simulate(cfg: SimConfig, modes=8, n_replicas=160, jobs=1):
+def she_simulate(cfg: SimConfig, modes=8, n_replicas=160):
     """Additive flat SHE on the circle; per-mode second moments vs the oracle.
 
     Runs an ensemble of independent replicas (cold start, burn chosen from
@@ -352,15 +351,10 @@ def she_simulate(cfg: SimConfig, modes=8, n_replicas=160, jobs=1):
     standard errors come from genuinely independent samples.  Returns a dict
     with 'mode_var' [component, mode], 'se', and 'oracle'.
     """
-    if cfg.target != "flat":
-        raise ValueError("she_simulate handles the flat target")
     N, d, m = cfg.n_grid, cfg.dim, cfg.n_noise
     dx = 2.0 * math.pi / N
-    k_all = np.fft.fftfreq(N, d=1.0 / N)
-    lam = (2.0 - 2.0 * np.cos(2.0 * math.pi * k_all / N)) / dx ** 2
-    denom = 1.0 + cfg.dt * lam
-    lam1 = (2.0 - 2.0 * math.cos(2.0 * math.pi / N)) / dx ** 2
-    burn = max(cfg.burn, int(5.0 / (cfg.dt * lam1)) + 1)
+    denom = 1.0 + cfg.dt * periodic_laplacian(N)[1]
+    burn = max(cfg.burn, int(5.0 / (cfg.dt * laplacian_symbol(1, N))) + 1)
     rng = np.random.default_rng(cfg.seed)
     u = np.zeros((n_replicas, d, N))
     for step in range(burn):
@@ -389,10 +383,7 @@ def heat_decay_error(cfg: SimConfig, n_steps=200):
     N = cfg.n_grid
     x = 2.0 * math.pi * np.arange(N) / N
     u = np.sin(x) + 0.3 * np.cos(3 * x)
-    dx = 2.0 * math.pi / N
-    k_all = np.fft.fftfreq(N, d=1.0 / N)
-    lam = (2.0 - 2.0 * np.cos(2.0 * math.pi * k_all / N)) / dx ** 2
-    denom = 1.0 + cfg.dt * lam
+    denom = 1.0 + cfg.dt * periodic_laplacian(N)[1]
     u0_hat = np.fft.fft(u)
     v = u.copy()
     for _ in range(n_steps):
@@ -410,9 +401,7 @@ def exact_heat_comparison(cfg: SimConfig, t_final=0.25):
     N = cfg.n_grid
     x = 2.0 * math.pi * np.arange(N) / N
     u0 = np.sin(x) + 0.3 * np.cos(3 * x)
-    dx = 2.0 * math.pi / N
-    k_all = np.fft.fftfreq(N, d=1.0 / N)
-    lam = (2.0 - 2.0 * np.cos(2.0 * math.pi * k_all / N)) / dx ** 2
+    lam = periodic_laplacian(N)[1]
     n_steps = int(round(t_final / cfg.dt))
     u_hat = np.fft.fft(u0) / (1.0 + cfg.dt * lam) ** n_steps
     exact_hat = np.fft.fft(u0) * np.exp(-lam * cfg.dt * n_steps)
@@ -439,18 +428,17 @@ def _proj_jacobian_apply(u, w):
     return w / r - u * udot / (r2 * r)
 
 
-def sphere_simulate(n_grid=64, dt=None, eps=0.3, n_steps=400, seed=0,
-                    noise_scale=1.0, snapshots=5, dt_factor=0.05):
+def sphere_simulate(n_grid=64, dt=None, n_steps=400, seed=0, noise_scale=1.0):
     """Evolve the embedded sphere equation; track the distance to the sphere.
 
     Returns a dict with 'max_dist' (max over time of max_x ||u|-1|),
-    'lengths' (loop length per recorded time), and 'snapshots' rows
-    (t, x, u1, u2, u3).
+    'lengths' (loop length at five evenly spaced steps), and 'snapshots'
+    rows (t, x, u1, u2, u3) at the same steps.
     """
     N = n_grid
     dx = 2.0 * math.pi / N
     if dt is None:
-        dt = dt_factor * dx * dx
+        dt = 0.05 * dx * dx
     if dt > 0.26 * dx * dx:
         raise StabilityError("explicit nonlinearity needs dt <= 0.26 dx^2")
     rng = np.random.default_rng(seed)
@@ -459,15 +447,14 @@ def sphere_simulate(n_grid=64, dt=None, eps=0.3, n_steps=400, seed=0,
     u = np.vstack([np.cos(x) * math.sqrt(0.5),
                    np.sin(x) * math.sqrt(0.5),
                    np.full(N, math.sqrt(0.5))])
-    k_all = np.fft.fftfreq(N, d=1.0 / N)
-    lam = (2.0 - 2.0 * np.cos(2.0 * math.pi * k_all / N)) / dx ** 2
+    k_all, lam = periodic_laplacian(N)
     denom = 1.0 + dt * lam
-    # spatial mollification at scale eps: Gaussian multiplier on modes
-    smooth = np.exp(-(k_all * eps) ** 2 / 2.0)
+    # spatial mollification at scale 0.3: Gaussian multiplier on modes
+    smooth = np.exp(-(k_all * 0.3) ** 2 / 2.0)
     max_dist = 0.0
     lengths = []
     snaps = []
-    record_at = np.linspace(0, n_steps - 1, snapshots, dtype=int)
+    record_at = np.linspace(0, n_steps - 1, 5, dtype=int)
     for step in range(n_steps):
         ux = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * dx)
         drift = -_proj_hessian_term(u, ux)

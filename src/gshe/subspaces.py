@@ -17,7 +17,8 @@ from math import gcd
 
 from .algebra import LinComb, inner
 from .morphisms import p_ito, phi_hat_geo, tau_c, tau_star
-from .symbols import covariant_symbols, flat_symbols, full_basis
+from .symbols import (basis_positions, covariant_symbols, flat_symbols,
+                      full_basis)
 
 
 # -- fraction-free elimination -------------------------------------------------
@@ -94,15 +95,6 @@ def kernel(mat):
     return basis
 
 
-def image(mat):
-    """Basis of the column space, as coordinate vectors in the codomain."""
-    if not mat:
-        return []
-    cols = list(map(list, zip(*mat)))
-    rows, _ = rref(cols)
-    return rows
-
-
 def row_space(vectors):
     """Canonical (RREF) basis of the span of the given coordinate vectors."""
     rows, _ = rref(vectors)
@@ -168,16 +160,12 @@ class GraphLinearMap:
                     for i in range(n)]
         return kernel(self.matrix)
 
-    def image(self):
-        return image(self.matrix)
-
 
 # -- the named subspaces -------------------------------------------------------
 
 def _coords(a: LinComb):
-    basis = full_basis()
-    index = {g.canonical_key(): i for i, g in enumerate(basis)}
-    vec = [Fraction(0)] * len(basis)
+    index = basis_positions()
+    vec = [Fraction(0)] * len(index)
     for g, c in a.terms.items():
         vec[index[g.canonical_key()]] = c
     return vec
@@ -191,25 +179,28 @@ def from_coords(vec) -> LinComb:
     return out
 
 
+def _pairing_row(comb: LinComb):
+    """The functional <comb, .> as a row over the symbol basis."""
+    return [inner(comb, LinComb.of(g)) for g in full_basis()]
+
+
+def _symbol_kernel(images):
+    """Canonical basis of the kernel of the map sending symbol j to images[j]."""
+    lmap = GraphLinearMap(full_basis(), images)
+    return tuple(tuple(v) for v in row_space(lmap.kernel()))
+
+
 @lru_cache(maxsize=None)
 def s_geo():
     """Kernel of phi_hat_geo on the 54-dim symbol span (dimension 15)."""
-    basis = full_basis()
-    images = [phi_hat_geo(LinComb.of(g)) for g in basis]
-    lmap = GraphLinearMap(list(basis), images)
-    return tuple(tuple(v) for v in row_space(lmap.kernel()))
+    return _symbol_kernel([phi_hat_geo(LinComb.of(g)) for g in full_basis()])
 
 
 @lru_cache(maxsize=None)
 def s_ito():
     """Fixed space of the Ito projection on the symbol span (dimension 19)."""
-    basis = full_basis()
-    mat = []
-    cols = [_coords(p_ito(LinComb.of(g))) for g in basis]
-    n = len(basis)
-    for i in range(n):
-        mat.append([cols[j][i] - (1 if i == j else 0) for j in range(n)])
-    return tuple(tuple(v) for v in row_space(kernel(mat)))
+    return _symbol_kernel([p_ito(LinComb.of(g)) - LinComb.of(g)
+                           for g in full_basis()])
 
 
 @lru_cache(maxsize=None)
@@ -225,7 +216,6 @@ def nice_functionals():
 
     out = []
     for s in full_basis():
-        names = [t.name for t in s.types]
         ok = True
         for v, t in enumerate(s.types):
             stars = s.star_degree(v)
@@ -241,10 +231,7 @@ def nice_functionals():
 @lru_cache(maxsize=None)
 def s_nice():
     """Orthogonal complement of the three pairing functionals (dimension 51)."""
-    mat = []
-    for f in nice_functionals():
-        F = LinComb.of(f)
-        mat.append([inner(F, LinComb.of(g)) for g in full_basis()])
+    mat = [_pairing_row(LinComb.of(f)) for f in nice_functionals()]
     return tuple(tuple(v) for v in row_space(kernel(mat)))
 
 
@@ -293,27 +280,23 @@ def dimension_report():
 def verify_functionals():
     """Orthogonality and independence claims; (claim, expected, got) rows."""
     geo, ito = s_geo(), s_ito()
-    basis = full_basis()
     flats = flat_symbols()
-
-    def pairing_vec(comb: LinComb):
-        return [inner(comb, LinComb.of(g)) for g in basis]
 
     # the star pairing annihilates the Ito space
     star = _nice_star_symbol()
-    star_vec = pairing_vec(LinComb.of(star))
+    star_vec = _pairing_row(LinComb.of(star))
     ito_perp = all(sum(c * v for c, v in zip(star_vec, w)) == 0 for w in ito)
 
     # (1/2) star - mixed - (1/2) same-slot pairing annihilates the geo space
     same, mixed = _gamma_root_pairings()
     combo = (Fraction(1, 2) * LinComb.of(star) - LinComb.of(mixed)
              - Fraction(1, 2) * LinComb.of(same))
-    combo_vec = pairing_vec(combo)
+    combo_vec = _pairing_row(combo)
     geo_perp = all(sum(c * v for c, v in zip(combo_vec, w)) == 0 for w in geo)
 
     # the flat pairings plus five curvature functionals have rank 15 over S_geo
-    functionals = [pairing_vec(LinComb.of(s)) for s in flats]
-    functionals += [pairing_vec(v) for v in _extra_geo_functionals()]
+    functionals = [_pairing_row(LinComb.of(s)) for s in flats]
+    functionals += [_pairing_row(v) for v in _extra_geo_functionals()]
     gram = [[sum(f[i] * w[i] for i in range(54)) for w in geo]
             for f in functionals]
     rk = rank(gram)

@@ -10,7 +10,6 @@ with four there are 52, for a total basis of 54.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import LinComb
@@ -150,14 +149,12 @@ def unpaired_symmetry_factor(s: XGraph) -> int:
 
 def pairing_orbit_count(s: XGraph) -> int:
     """N(tau, P): distinct pairings isomorphic to the one carried by s."""
-    bare = XGraph(s.u, s.l, s.types, s.wiring)
     noises = [v for v, t in enumerate(s.types) if t.name == NOISE.name]
     count = 0
     for pairing in _pairings(tuple(noises)):
         pg = XGraph(s.u, s.l, s.types, s.wiring, pairing)
         if pg == s:
             count += 1
-    del bare
     return count
 
 
@@ -181,27 +178,27 @@ def iota_expand(s: XGraph, m: int) -> LinComb:
     return out
 
 
-def forget_labels(a: LinComb, pair_by_label=False) -> LinComb:
+def forget_labels(a: LinComb, pair_by=None) -> LinComb:
     """Map every labelled noise type back to the plain noise type.
 
-    With ``pair_by_label`` the vertices sharing a label are paired (labels
-    must then appear exactly twice per graph).
+    ``pair_by`` maps label names to pair names; the vertices of each pair
+    name are then paired (each must occur exactly twice per graph).
     """
     def per_graph(g):
         types = []
         groups = {}
         for v, t in enumerate(g.types):
             if t.name.startswith("Xi") and t.name != "Xi":
-                groups.setdefault(t.name, []).append(v)
+                if pair_by:
+                    groups.setdefault(pair_by[t.name], []).append(v)
                 types.append(NOISE)
             else:
                 types.append(t)
         pairing = list(g.pairing)
-        if pair_by_label:
-            for name, vs in groups.items():
-                if len(vs) != 2:
-                    raise PairingError(f"label {name} occurs {len(vs)} times")
-                pairing.append(tuple(vs))
+        for name, vs in groups.items():
+            if len(vs) != 2:
+                raise PairingError(f"pair {name} occurs {len(vs)} times")
+            pairing.append(tuple(vs))
         return LinComb.of(XGraph(g.u, g.l, types, g.wiring, pairing))
 
     return a.map_terms(per_graph)
@@ -213,22 +210,14 @@ def flat_symbols():
             if all(t.name == NOISE.name for t in s.types)]
 
 
+@lru_cache(maxsize=None)
+def basis_positions():
+    """Map each symbol's canonical key to its index in full_basis()."""
+    return {g.canonical_key(): i for i, g in enumerate(full_basis())}
+
+
 def basis_index(s: XGraph) -> int:
-    keys = [g.canonical_key() for g in full_basis()]
-    return keys.index(s.canonicalize()[0].canonical_key())
-
-
-def in_span_coords(a: LinComb):
-    """Coordinates of a LinComb in the 54-symbol basis; None if outside."""
-    basis = full_basis()
-    index = {g.canonical_key(): i for i, g in enumerate(basis)}
-    coords = [Fraction(0)] * len(basis)
-    for g, c in a.terms.items():
-        i = index.get(g.canonical_key())
-        if i is None:
-            return None
-        coords[i] = c
-    return coords
+    return basis_positions()[s.canonicalize()[0].canonical_key()]
 
 
 def covariant_words():

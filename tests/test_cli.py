@@ -1,5 +1,8 @@
+import os
 import subprocess
 import sys
+
+import pytest
 
 
 def run_cli(*args, **kw):
@@ -94,3 +97,63 @@ def test_sim_sphere(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,x,u1,u2,u3"
     assert len(lines) > 10
+
+
+GRAPH_OK = "xgraph u=1 l=0\nv 0 Xi\ne 0.out:1 -> up:1\n"
+
+
+@pytest.mark.parametrize("text, lincomb, lineno", [
+    ("xgraph u=1 l=0\nv x Xi\n", False, 2),
+    ("xgraph u=1 l=0\nv 0 Xi\ne 0.out:one -> 0.in:1\n", False, 3),
+    ("xgraph u=1 l=0\nv 0 Xi\ne 0.out:1 -> up:one\n", False, 3),
+    ("xgraph u=1 l=0\nv 0 Xi\nv 1 Xi\ne 0.out:1 -> up:1\n"
+     "e 1.out:1 -> 0.star\npair 0 b\n", False, 6),
+    ("# header\n\nabc * {\n" + GRAPH_OK + "}\n", True, 3),
+    ("1 * {\n" + GRAPH_OK + "}\n1/0 * {\n" + GRAPH_OK + "}\n", True, 6),
+    ("1/2 * {\n\nxgraph u=1 l=0\nv y Xi\n}\n", True, 4),
+])
+@pytest.mark.parametrize("command", ["parse", "print"])
+def test_malformed_input_reports_line(tmp_path, command, text, lincomb,
+                                      lineno):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    r = run_cli(command, *(["--lincomb"] if lincomb else []), str(path))
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert f"line {lineno}:" in r.stderr
+
+
+@pytest.mark.parametrize("command", ["parse", "print"])
+def test_missing_input_file(tmp_path, command):
+    r = run_cli(command, str(tmp_path / "absent.txt"))
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert "absent.txt" in r.stderr
+
+
+@pytest.mark.parametrize("args, env, named", [
+    (["ou"], {"GSHE_SEED": "x"}, "--seed"),
+    (["check", "--suite", "jets"], {"GSHE_SEED": "1.5"}, "--seed"),
+    (["ou", "--seed", "x"], {}, "--seed"),
+    (["constants", "--eps-list", "0.2,x"], {}, "--eps-list"),
+    (["constants", "--eps-list", "0.2,0.1"], {}, "three eps values"),
+    (["constants", "--eps-list", "0.2,0.1,0"], {}, "eps must lie in"),
+    (["ou", "--n", "4"], {}, "N >= 8"),
+    (["sim", "--target", "flat", "--dim", "0"], {}, "--dim"),
+    (["sim", "--target", "flat", "--n", "8"], {}, "--modes"),
+    (["sim", "--target", "sphere", "--steps", "0"], {}, "--steps"),
+    (["check", "--cases", "0"], {}, "--cases"),
+    (["--jobs", "0", "basis"], {}, "--jobs"),
+])
+def test_malformed_flags_are_usage_errors(args, env, named):
+    r = run_cli(*args, env={**os.environ, **env})
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert named in r.stderr
+
+
+def test_check_uses_each_suite_default_size():
+    r = run_cli("check", "--suite", "jets", "--seed", "3")
+    assert r.returncode == 0
+    rows = r.stdout.strip().splitlines()[1:]
+    assert rows and all(row.split(",")[1] == "40" for row in rows)
