@@ -6,7 +6,8 @@ claims with pass/fail), ``expand`` (distinguished vectors), ``check``
 (discrete loop covariance), ``sim`` (flat or sphere solver), ``parse`` /
 ``print`` (text-format roundtrip).  Exit status is zero iff every requested
 check passed; an unreadable or malformed input file exits with 1 and a
-line-numbered message; a malformed flag or ``GSHE_SEED``, or a value the
+line-numbered message, an --out path that cannot be written with 1 and a
+``cannot write`` message; a malformed flag or ``GSHE_SEED``, or a value the
 library rejects with ``ValueError``, exits with argparse's 2.
 ``check`` runs each suite at its own default size unless --cases is given.
 Machine-readable CSV goes to --out when given, otherwise rows are printed
@@ -26,12 +27,20 @@ from .symbols import GENERATORS, full_basis, labeled_noise
 
 
 def _write(text, out_path):
-    """Write text to the file out_path, or to stdout when it is empty."""
-    if out_path:
+    """Write text to the file out_path, or to stdout when it is empty.
+
+    Returns the exit status: 1 after reporting a file that cannot be written.
+    """
+    if not out_path:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"cannot write {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _verdict(ok):
@@ -39,10 +48,11 @@ def _verdict(ok):
 
 
 def _emit(rows, header, out_path):
-    """Write rows as CSV; returns exit status 1 iff a row's last field is FAIL."""
+    """Write rows as CSV; returns exit status 1 iff a row's last field is FAIL
+    or the output cannot be written."""
     lines = [header] + [",".join(str(x) for x in row) for row in rows]
-    _write("\n".join(lines) + "\n", out_path)
-    return int(any(row[-1] == "FAIL" for row in rows))
+    failed = _write("\n".join(lines) + "\n", out_path)
+    return failed or int(any(row[-1] == "FAIL" for row in rows))
 
 
 def _map(fn, payloads, jobs):
@@ -55,9 +65,8 @@ def _map(fn, payloads, jobs):
 
 def cmd_basis(args):
     basis = full_basis()
-    _write("\n\n".join(format_graph(g) for g in basis) + "\n", args.out)
     print(f"# {len(basis)} paired symbols", file=sys.stderr)
-    return 0
+    return _write("\n\n".join(format_graph(g) for g in basis) + "\n", args.out)
 
 
 def cmd_dims(args):
@@ -79,8 +88,7 @@ def cmd_expand(args):
     else:
         items = [(f"V_{i+1}", v) for i, v in enumerate(covariant_symbols())]
     chunks = [f"# {name}\n{format_lincomb(v)}" for name, v in items]
-    _write("\n\n".join(chunks) + "\n", args.out)
-    return 0
+    return _write("\n\n".join(chunks) + "\n", args.out)
 
 
 def _run_suite(payload):
@@ -170,11 +178,11 @@ def cmd_sim(args):
                           noise_scale=args.noise)
     rows = [(f"{t:.5f}", f"{x:.5f}", f"{u1:.6f}", f"{u2:.6f}", f"{u3:.6f}")
             for t, x, u1, u2, u3 in res["snapshots"]]
-    _emit(rows, "t,x,u1,u2,u3", args.out or "sphere_snapshots.csv")
+    failed = _emit(rows, "t,x,u1,u2,u3", args.out or "sphere_snapshots.csv")
     print(f"max ||u|-1| = {res['max_dist']:.3e}; "
           f"lengths {res['lengths'][0]:.4f} -> {res['lengths'][-1]:.4f}",
           file=sys.stderr)
-    return 0 if res["max_dist"] < 0.9 else 1
+    return int(failed or res["max_dist"] >= 0.9)
 
 
 def _read_input(args):

@@ -10,22 +10,39 @@ Slots are pairs: ``('l', k)`` / ``('u', k)`` for externals, ``(v, j)`` for
 vertex slots where ``v`` is the vertex index, ``j >= 1`` a native slot and
 ``j == 0`` the star slot of ``v``.
 
-Canonical forms minimise a deterministic serialisation over all vertex
+Canonical forms minimise a deterministic serialisation over vertex
 relabelings combined with the declared per-generator slot symmetries, so two
 graphs get the same canonical key iff they are isomorphic in the
 symmetry-aware (quotient) sense, with external labels and pairings preserved.
 The number of search elements hitting the minimum is the order of the
 automorphism group, which doubles as the symmetry factor of tree symbols.
+
+The search runs over orderings that respect refined vertex colours, modulo
+*twins*: vertices u, v whose transposition, with identity slot choices, is an
+automorphism (the star leaves of one vertex, say).  The twin group T, the
+product of the symmetric groups on the twin classes, acts freely on the
+search elements and leaves the serialisation unchanged, so one element per
+T-orbit (each twin class in increasing vertex order) reaches the same
+minimum, and the automorphism count is its hits times |T|.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 
 class StructureError(ValueError):
-    """Malformed wiring: a slot has the wrong number of incoming edges."""
+    """Malformed wiring: a slot has the wrong number of incoming edges.
+
+    ``src`` is the source slot of the one edge at fault, or None when the
+    fault lies with no single edge (a slot that got no edge).
+    """
+
+    def __init__(self, msg, src=None):
+        super().__init__(msg)
+        self.src = src
 
 
 class DegreeError(ValueError):
@@ -33,7 +50,14 @@ class DegreeError(ValueError):
 
 
 class PairingError(ValueError):
-    """A pairing constraint is violated (odd block, overlap, missing pair)."""
+    """A pairing constraint is violated (odd block, overlap, missing pair).
+
+    ``pair`` is the one pair at fault, or None.
+    """
+
+    def __init__(self, msg, pair=None):
+        super().__init__(msg)
+        self.pair = pair
 
 
 def _perm_closure(perms, n):
@@ -100,34 +124,41 @@ class GeneratorType:
 
 
 def _check_wiring(u, l, types, wiring):
-    out_slots = [("l", k) for k in range(1, l + 1)]
+    out_slots = {("l", k) for k in range(1, l + 1)}
     for v, t in enumerate(types):
-        out_slots.extend((v, j) for j in range(1, t.out_arity + 1))
-    if sorted(wiring, key=repr) != sorted(out_slots, key=repr):
-        raise StructureError("wiring domain does not match the output slot set")
+        out_slots.update((v, j) for j in range(1, t.out_arity + 1))
+    if wiring.keys() != out_slots:
+        extra = [src for src in wiring if src not in out_slots]
+        raise StructureError("wiring domain does not match the output slot set",
+                             extra[0] if extra else None)
     counts = {}
+    last = {}
     for src, dst in wiring.items():
         counts[dst] = counts.get(dst, 0) + 1
+        last[dst] = src
         if src[0] == "l" and dst[0] == "u":
-            raise StructureError(f"low:{src[1]} wired directly to up:{dst[1]}")
+            raise StructureError(f"low:{src[1]} wired directly to up:{dst[1]}", src)
         if dst[0] == "u":
             if not (1 <= dst[1] <= u):
-                raise StructureError(f"edge into nonexistent up:{dst[1]}")
+                raise StructureError(f"edge into nonexistent up:{dst[1]}", src)
         else:
             v, j = dst
             if not (isinstance(v, int) and 0 <= v < len(types)):
-                raise StructureError(f"edge into nonexistent vertex {v!r}")
+                raise StructureError(f"edge into nonexistent vertex {v!r}", src)
             if not (0 <= j <= types[v].in_arity):
-                raise StructureError(f"edge into nonexistent slot {v}.in:{j}")
+                raise StructureError(f"edge into nonexistent slot {v}.in:{j}", src)
+    # A slot with two or more edges is blamed on the last edge into it.
     for k in range(1, u + 1):
         c = counts.get(("u", k), 0)
         if c != 1:
-            raise StructureError(f"up:{k} has {c} incoming edges, wants exactly 1")
+            raise StructureError(f"up:{k} has {c} incoming edges, wants exactly 1",
+                                 last.get(("u", k)))
     for v, t in enumerate(types):
         for j in range(1, t.in_arity + 1):
             c = counts.get((v, j), 0)
             if c != 1:
-                raise StructureError(f"native slot {v}.in:{j} has {c} edges, wants 1")
+                raise StructureError(f"native slot {v}.in:{j} has {c} edges, wants 1",
+                                     last.get((v, j)))
 
 
 def _norm_src(s):
@@ -143,19 +174,22 @@ class XGraph:
         wiring = dict(wiring)
         types = tuple(types)
         _check_wiring(u, l, types, wiring)
-        pset = frozenset(frozenset(p) for p in pairing)
+        pset = set()
         seen = set()
-        for p in pset:
+        for p in map(frozenset, pairing):
+            if p in pset:
+                continue
             if len(p) != 2 or not all(isinstance(v, int) and 0 <= v < len(types) for v in p):
-                raise PairingError(f"bad pair {set(p)}")
+                raise PairingError(f"bad pair {set(p)}", p)
             if p & seen:
-                raise PairingError("pairing blocks overlap")
+                raise PairingError("pairing blocks overlap", p)
+            pset.add(p)
             seen |= p
         self.u = u
         self.l = l
         self.types = types
         self.wiring = wiring
-        self.pairing = pset
+        self.pairing = frozenset(pset)
         self._canon = None
         self._aut = None
         self._key = None
@@ -265,12 +299,60 @@ class XGraph:
             colors = refined
         return colors
 
-    def _orderings(self, colors):
-        classes = {}
+    def _twin_classes(self, colors):
+        """The colour classes in colour order, each split into twin classes.
+
+        u and v are twins when the transposition (u v), with identity slot
+        choices, is an automorphism.  Twins share a colour, and being twins
+        is an equivalence ((u w) is (u v) conjugated by (v w)), so each
+        vertex is tested against one member of each class found so far.
+        Every class lists its vertices in increasing order.
+        """
+        by_color = {}
         for v, c in enumerate(colors):
-            classes.setdefault(c, []).append(v)
-        blocks = [classes[c] for c in sorted(classes)]
-        for parts in itertools.product(*(itertools.permutations(b) for b in blocks)):
+            by_color.setdefault(c, []).append(v)
+        blocks = [by_color[c] for c in sorted(by_color)]
+        shared = {v for b in blocks if len(b) > 1 for v in b}
+        if not shared:
+            return [[b] for b in blocks]
+        partner = {}
+        for a, b in self.pairing:
+            partner[a], partner[b] = b, a
+        incident = {v: [] for v in shared}
+        for src, dst in self.wiring.items():
+            if src[0] in incident:
+                incident[src[0]].append((src, dst))
+            if dst[0] != src[0] and dst[0] in incident:
+                incident[dst[0]].append((src, dst))
+
+        def twins(u, v):
+            if partner.get(u) != partner.get(v) and partner.get(u) != v:
+                return False
+
+            def swap(slot):
+                w = slot[0]
+                return (v, slot[1]) if w == u else (u, slot[1]) if w == v else slot
+
+            return all(self.wiring[swap(s)] == swap(d)
+                       for s, d in incident[u] + incident[v])
+
+        out = []
+        for block in blocks:
+            classes = []
+            for v in block:
+                for cls in classes:
+                    if twins(cls[0], v):
+                        cls.append(v)
+                        break
+                else:
+                    classes.append([v])
+            out.append(classes)
+        return out
+
+    @staticmethod
+    def _orderings(twin_blocks):
+        """Colour-respecting orderings that keep each twin class increasing."""
+        for parts in itertools.product(*map(_interleavings, twin_blocks)):
             yield [v for part in parts for v in part]
 
     def _encode(self, order, choice):
@@ -295,21 +377,34 @@ class XGraph:
         return (tuple(self.types[v].name for v in order), tuple(entries), tuple(pairs))
 
     def canonicalize(self):
-        """Return (canonical graph, automorphism count)."""
+        """Return (canonical graph, automorphism count).
+
+        Minimises ``_encode`` over (ordering, slot choice) pairs, where the
+        orderings respect the refined colours and keep each twin class in
+        increasing vertex order.  That is exact: the twin group T permutes
+        the search elements freely (no element is fixed by a non-identity
+        twin permutation) and ``_encode`` is constant on each T-orbit, so
+        the minimum is unchanged, the canonical graph (a function of the
+        minimal encoding) is unchanged, and the hits times |T| count every
+        minimising element of the full search: the automorphism group.
+        """
         if self._canon is not None:
             return self._canon, self._aut
-        colors = self._wl_colors()
+        twin_blocks = self._twin_classes(self._wl_colors())
         groups = [self.types[v].slot_group for v in range(self.n_vertices)]
         best = None
         best_data = None
         hits = 0
-        for order in self._orderings(colors):
+        for order in self._orderings(twin_blocks):
             for choice in itertools.product(*groups):
                 enc = self._encode(order, choice)
                 if best is None or enc < best:
                     best, best_data, hits = enc, (order, choice), 1
                 elif enc == best:
                     hits += 1
+        for classes in twin_blocks:
+            for cls in classes:
+                hits *= math.factorial(len(cls))
         order, choice = best_data
         pos = {v: i for i, v in enumerate(order)}
         wiring = {}
@@ -322,8 +417,11 @@ class XGraph:
             else:
                 d = (pos[dst[0]], choice[dst[0]][0][dst[1] - 1])
             wiring[s] = d
-        pairing = [tuple(sorted(pos[v] for v in p)) for p in self.pairing]
-        g = XGraph(self.u, self.l, [self.types[v] for v in order], wiring, pairing)
+        # A relabelling of this validated graph: skip __init__'s checks.
+        g = XGraph.__new__(XGraph)
+        g.u, g.l, g.wiring = self.u, self.l, wiring
+        g.types = tuple(self.types[v] for v in order)
+        g.pairing = frozenset(frozenset(pos[v] for v in p) for p in self.pairing)
         key = (self.u, self.l, best)
         g._canon, g._aut, g._key = g, hits, key
         self._canon, self._aut, self._key = g, hits, key
@@ -348,6 +446,19 @@ class XGraph:
     def __repr__(self):
         names = ",".join(t.name for t in self.types)
         return f"XGraph(({self.u},{self.l}) [{names}] {len(self.pairing)}p)"
+
+
+def _interleavings(classes):
+    """Orderings of the union of ``classes`` that keep each class's order."""
+    if len(classes) == 1:
+        yield tuple(classes[0])
+        return
+    for i, cls in enumerate(classes):
+        rest = classes[:i] + classes[i + 1:]
+        if len(cls) > 1:
+            rest.append(cls[1:])
+        for tail in _interleavings(rest):
+            yield (cls[0],) + tail
 
 
 def empty_graph():
@@ -416,6 +527,8 @@ def parse_graph(text, generators, offset=0):
     types = []
     wiring = {}
     pairing = []
+    edge_lines = {}
+    pair_lines = {}
     for i, raw in enumerate(text.splitlines()):
         lineno = offset + i + 1
         line = raw.strip()
@@ -445,15 +558,22 @@ def parse_graph(text, generators, offset=0):
             if src in wiring:
                 raise ParseError(lineno, f"duplicate edge source {parts[1]}")
             wiring[src] = dst
+            edge_lines[src] = lineno
         else:
             if parts[0] != "pair":
                 raise ParseError(lineno, f"unknown directive {parts[0]!r}")
             if len(parts) != 3:
                 raise ParseError(lineno, "expected 'pair <id> <id>'")
-            pairing.append(tuple(_ints(parts[1:], lineno, "pair")))
+            pair = tuple(_ints(parts[1:], lineno, "pair"))
+            pairing.append(pair)
+            pair_lines.setdefault(frozenset(pair), lineno)
     if u is None:
         raise ParseError(offset + 1, "missing 'xgraph' header")
+    # An error naming one edge or pair is reported at its line, any other
+    # at the block's first line.
     try:
         return XGraph(u, l, types, wiring, pairing)
-    except (StructureError, PairingError) as exc:
-        raise ParseError(offset + 1, str(exc)) from exc
+    except StructureError as exc:
+        raise ParseError(edge_lines.get(exc.src, offset + 1), str(exc)) from exc
+    except PairingError as exc:
+        raise ParseError(pair_lines.get(exc.pair, offset + 1), str(exc)) from exc

@@ -246,10 +246,10 @@ def covariant_words():
     return words
 
 
+@lru_cache(maxsize=None)
 def covariant_symbols():
     """The 15 covariant-derivative vectors in the paired-symbol basis."""
     from .morphisms import expand_word
 
-    out = [expand_word(w) for w in covariant_words()]
-    out.append(expand_word(("nabla", "a1", "a2")))
-    return out
+    words = covariant_words() + [("nabla", "a1", "a2")]
+    return tuple(expand_word(w) for w in words)

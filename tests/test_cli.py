@@ -157,3 +157,12 @@ def test_check_uses_each_suite_default_size():
     assert r.returncode == 0
     rows = r.stdout.strip().splitlines()[1:]
     assert rows and all(row.split(",")[1] == "40" for row in rows)
+
+
+@pytest.mark.parametrize("args", [["ou", "--n", "8"], ["basis"]])
+def test_unwritable_out_path(tmp_path, args):
+    out = tmp_path / "absent" / "x.csv"
+    r = run_cli(*args, "--out", str(out))
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert f"cannot write {out}: " in r.stderr
