@@ -565,8 +565,11 @@ def parse_graph(text, generators, offset=0):
             if len(parts) != 3:
                 raise ParseError(lineno, "expected 'pair <id> <id>'")
             pair = tuple(_ints(parts[1:], lineno, "pair"))
+            key = frozenset(pair)
+            if key in pair_lines:
+                raise ParseError(lineno, f"duplicate pair {parts[1]} {parts[2]}")
             pairing.append(pair)
-            pair_lines.setdefault(frozenset(pair), lineno)
+            pair_lines[key] = lineno
     if u is None:
         raise ParseError(offset + 1, "missing 'xgraph' header")
     # An error naming one edge or pair is reported at its line, any other

@@ -185,7 +185,11 @@ def test_parse_error_line_numbers():
             ("e 0.out:1 -> up:1\ne 1.out:1 -> 0.star\ne 2.out:1 -> 0.star\n"
              "pair 1 2\npair 2 0\n", 9),
             ("e 0.out:1 -> up:1\ne 1.out:1 -> 0.star\ne 2.out:1 -> 0.star\n"
-             "pair 1 7\n", 8)]:
+             "pair 1 7\n", 8),
+            ("e 0.out:1 -> up:1\ne 1.out:1 -> 0.star\ne 2.out:1 -> 0.star\n"
+             "pair 1 2\npair 2 1\n", 9),
+            ("e 0.out:1 -> up:1\ne 1.out:1 -> 0.star\ne 2.out:1 -> 0.star\n"
+             "pair 1 2\n\npair 1 2\n", 10)]:
         with pytest.raises(ParseError) as exc:
             parse_graph(two + tail, GENERATORS)
         assert f"line {lineno}:" in str(exc.value), tail

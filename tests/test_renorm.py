@@ -6,9 +6,9 @@ import pytest
 from gshe.renorm import (K3_SLOPE, Mollifier, SimConfig, StabilityError,
                          cbar_estimate, exact_heat_comparison,
                          flat_mode_variance_oracle, heat_decay_error,
-                         heat_kernel_mass, k3_log_slope, ou_loop_covariance,
-                         ou_loop_mc, p3_identity, she_simulate,
-                         sphere_simulate)
+                         heat_kernel_mass, k3_log_slope, laplacian_symbol,
+                         ou_loop_covariance, ou_loop_mc, p3_identity,
+                         periodic_laplacian, she_simulate, sphere_simulate)
 
 
 def test_mollifier_invariants():
@@ -100,6 +100,54 @@ def test_flat_she_rotation_invariance():
     assert float(z.max()) < 3.5
 
 
+def ref_she_simulate(cfg: SimConfig, modes, n_replicas):
+    """Reference loop: full complex FFT round trip and an einsum forcing."""
+    N, d, m = cfg.n_grid, cfg.dim, cfg.n_noise
+    dx = 2.0 * math.pi / N
+    denom = 1.0 + cfg.dt * periodic_laplacian(N)[1]
+    burn = max(cfg.burn, int(5.0 / (cfg.dt * laplacian_symbol(1, N))) + 1)
+    rng = np.random.default_rng(cfg.seed)
+    u = np.zeros((n_replicas, d, N))
+    for _ in range(burn):
+        eta = rng.standard_normal((n_replicas, m, N))
+        forcing = cfg.noise_scale * np.einsum("cm,rmn->rcn", cfg.sigma, eta) \
+            * math.sqrt(cfg.dt / dx)
+        u = np.real(np.fft.ifft(np.fft.fft(u + forcing, axis=2)
+                                / denom[None, None, :], axis=2))
+    samples = np.abs(np.fft.fft(u, axis=2)[:, :, 1:modes + 1]) ** 2
+    se = samples.std(axis=0, ddof=1) / math.sqrt(n_replicas)
+    return samples.mean(axis=0), se
+
+
+@pytest.mark.parametrize("n_grid", [8, 33, 49, 64])
+def test_she_matches_complex_fft_reference(n_grid):
+    # odd, even and non-power-of-two grids, modes above N//2, noise mixing
+    # with more components than noises; the largest dt keeps the burn short
+    th = 0.7
+    rotated = np.array([[1.0, 0.5], [0.0, 1.2]]) @ np.array(
+        [[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+    wide = np.array([[1.0, 0.5], [0.2, 1.2], [-0.7, 0.3]])
+    dt = 0.5 * (2.0 * math.pi / n_grid) ** 2
+    for sigma in (np.eye(1), rotated, wide):
+        d, m = sigma.shape
+        cfg = SimConfig(n_grid=n_grid, dt=dt, dim=d, n_noise=m, sigma=sigma,
+                        seed=n_grid + d, burn=1, noise_scale=0.8)
+        res = she_simulate(cfg, modes=n_grid - 1, n_replicas=3)
+        mean, se = ref_she_simulate(cfg, modes=n_grid - 1, n_replicas=3)
+        np.testing.assert_allclose(res["mode_var"], mean, rtol=1e-10)
+        np.testing.assert_allclose(res["se"], se, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n", [48, 49, 64])
+def test_wavenumbers_are_exact_integers(n):
+    k_all, lam = periodic_laplacian(n)
+    assert np.array_equal(k_all, np.round(k_all))
+    assert sorted(k_all.astype(int) % n) == list(range(n))
+    for k, value in zip(k_all, lam):
+        assert value == laplacian_symbol(k, n)
+        assert value == laplacian_symbol(int(k), n)
+
+
 def test_heat_decay():
     assert heat_decay_error(SimConfig(n_grid=64, dim=1)) < 1e-6
     # the implicit scheme's deviation from the continuum decay is first order
@@ -111,6 +159,14 @@ def test_cfl_guard():
         SimConfig(n_grid=32, dt=1.0)
     with pytest.raises(StabilityError):
         sphere_simulate(n_grid=32, dt=1.0)
+
+
+def test_blow_up_guard():
+    with pytest.raises(StabilityError, match="blow-up at step 0"):
+        she_simulate(SimConfig(n_grid=16, noise_scale=1e9), modes=2,
+                     n_replicas=4)
+    with pytest.raises(StabilityError, match="blew up"):
+        sphere_simulate(n_grid=16, n_steps=5, noise_scale=1e9)
 
 
 def test_sphere_refinement():
