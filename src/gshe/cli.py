@@ -221,8 +221,10 @@ def cmd_print(args):
     parsed = _read_input(args)
     if parsed is None:
         return 1
-    fmt = format_lincomb if args.lincomb else format_graph
-    sys.stdout.write(fmt(parsed) + "\n")
+    # a combination's terms are canonical already; a graph is made canonical
+    text = (format_lincomb(parsed) if args.lincomb
+            else format_graph(parsed.canonicalize()[0]))
+    sys.stdout.write(text + "\n")
     return 0
 
 

@@ -518,10 +518,17 @@ def _parse_dst(tok, lineno):
     raise ParseError(lineno, f"bad edge target {tok!r}")
 
 
+# The largest graph ``parse_graph`` accepts.  Canonicalising a twin-free
+# colour class grows about tenfold per vertex (seconds at nine vertices).
+MAX_VERTICES = 10
+
+
 def parse_graph(text, generators, offset=0):
     """Parse one graph block; ``generators`` maps type names to GeneratorType.
 
     ``offset`` shifts reported line numbers (for blocks inside larger files).
+    A block with more than ``MAX_VERTICES`` vertices is a ParseError at the
+    line of the first vertex past the limit.
     """
     u = l = None
     types = []
@@ -542,6 +549,9 @@ def parse_graph(text, generators, offset=0):
             except Exception:
                 raise ParseError(lineno, "expected 'xgraph u=<U> l=<L>'")
         elif parts[0] == "v":
+            if len(types) == MAX_VERTICES:
+                raise ParseError(lineno,
+                                 f"more than {MAX_VERTICES} vertices")
             if len(parts) != 3:
                 raise ParseError(lineno, "expected 'v <id> <typename>'")
             (vid,), tname = _ints(parts[1:2], lineno, "vertex id"), parts[2]

@@ -23,6 +23,7 @@ from math import gcd, lcm
 
 from .algebra import LinComb
 from .graphs import DegreeError, ParseError, XGraph
+from .subspaces import rref
 from .symbols import GAMMA, GPAIR, NOISE, iota_expand
 
 
@@ -259,21 +260,14 @@ class InversionError(ValueError):
 
 
 def _rational_matrix_inverse(mat):
+    """Exact inverse of a square rational matrix: ``rref`` of [A | I]."""
     n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)]
-           + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r][c] != 0), None)
-        if piv is None:
-            raise InversionError("singular constant term")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        p = aug[c][c]
-        aug[c] = [x / p for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
+    rows, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                         for i, row in enumerate(mat)])
+    if pivots != list(range(n)):
+        raise InversionError("singular constant term")
+    return [[Fraction(x, row[i]) for x in row[n:]]
+            for i, row in enumerate(rows)]
 
 
 def _mat_mul(a, b):
@@ -527,10 +521,7 @@ class Valuation:
                 raise ValueError("no jet supplied for the h generator")
             return self.h
         if name == GPAIR.name:
-            out = self.sigmas[0].product(self.sigmas[0])
-            for s in self.sigmas[1:]:
-                out = out + s.product(s)
-            return out
+            return inverse_metric(self.sigmas)
         raise ValueError(f"no jet for generator {name!r}")
 
     def evaluate_graph(self, g: XGraph) -> TensorJet:

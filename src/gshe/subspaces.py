@@ -1,19 +1,20 @@
 """Exact rational linear algebra over canonical-graph bases.
 
-Matrices are lists of rows of Fractions.  Elimination runs on an integer
-copy with each row's denominators cleared: a row is eliminated by
-cross-multiplying it with the pivot row and then dividing out the gcd of its
-entries, so all entries stay integral; results are converted back to
-Fractions.  On top of this the module computes the geometric, Ito and nice
-subspaces of the 54-dimensional symbol space and checks every printed
-dimension.
+Matrices are lists of rows of ints or Fractions.  Elimination clears each
+row to integers once, on entry, and then stays on integers: a row is
+eliminated by cross-multiplying it with the pivot row and then dividing out
+the gcd of its entries.  Every result (``rref`` rows, ``kernel`` vectors,
+``row_space``, ``intersect`` and ``subspace_sum`` bases) is a list of
+primitive integer rows with a positive pivot, a canonical form of the span.
+On top of this the module computes the geometric, Ito and nice subspaces of
+the 54-dimensional symbol space and checks every printed dimension.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .algebra import LinComb, inner
 from .morphisms import p_ito, phi_hat_geo, tau_c, tau_star
@@ -23,29 +24,22 @@ from .symbols import (basis_positions, covariant_symbols, flat_symbols,
 
 # -- fraction-free elimination -------------------------------------------------
 
-def _clear_rows(mat):
-    """Scale each row to integers (row-wise lcm of denominators)."""
-    out = []
-    for row in mat:
-        denom = 1
-        for x in row:
-            f = Fraction(x)
-            denom = denom * f.denominator // gcd(denom, f.denominator)
-        out.append([int(Fraction(x) * denom) for x in row])
-    return out
-
-
 def rref(mat):
     """Reduced row echelon form (exact); returns (rows, pivot columns).
 
-    Elimination runs on an integer copy: each row is cleared against the
+    ``mat`` holds rows of ints and/or Fractions; each row is scaled to
+    integers by the lcm of its denominators.  A row is cleared against the
     pivot row by cross-multiplication (pivot * row - entry * pivot row) and
-    then divided by the gcd of its entries.  The final normalisation divides
-    each pivot row by its pivot.
+    then divided by the gcd of its entries.  The reduced rows are returned
+    as primitive integer rows with a positive pivot, which is canonical:
+    equal row spaces give equal output.
     """
     if not mat:
         return [], []
-    rows = _clear_rows(mat)
+    rows = []
+    for row in mat:
+        denom = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (denom // x.denominator) for x in row])
     n, m = len(rows), len(rows[0])
     pivots = []
     r = 0
@@ -54,23 +48,23 @@ def rref(mat):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        p = prow[c]
         for i in range(n):
-            if i == r or rows[i][c] == 0:
+            e = rows[i][c]
+            if i == r or e == 0:
                 continue
-            rows[i] = [rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j]
-                       for j in range(m)]
-            g = 0
-            for x in rows[i]:
-                g = gcd(g, abs(x))
-            if g > 1:
-                rows[i] = [x // g for x in rows[i]]
+            row = [p * x - e * y for x, y in zip(rows[i], prow)]
+            g = gcd(*row)
+            rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == n:
             break
     out = []
-    for i, c in enumerate(pivots):
-        out.append([Fraction(x, rows[i][c]) for x in rows[i]])
+    for row, c in zip(rows, pivots):
+        g = gcd(*row) if row[c] > 0 else -gcd(*row)
+        out.append([x // g for x in row])
     return out, pivots
 
 
@@ -79,24 +73,26 @@ def rank(mat):
 
 
 def kernel(mat):
-    """Basis of the right kernel, as coordinate vectors."""
+    """Basis of the right kernel, as primitive integer vectors."""
     if not mat:
         return []
     m = len(mat[0])
     rows, pivots = rref(mat)
     free = [c for c in range(m) if c not in pivots]
+    scale = lcm(*(row[c] for row, c in zip(rows, pivots)))
     basis = []
     for f in free:
-        vec = [Fraction(0)] * m
-        vec[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -rows[i][f]
-        basis.append(vec)
+        vec = [0] * m
+        vec[f] = scale
+        for row, c in zip(rows, pivots):
+            vec[c] = -row[f] * (scale // row[c])
+        g = gcd(*vec)
+        basis.append([x // g for x in vec])
     return basis
 
 
 def row_space(vectors):
-    """Canonical (RREF) basis of the span of the given coordinate vectors."""
+    """Canonical basis (``rref`` rows) of the span of the given vectors."""
     rows, _ = rref(vectors)
     return rows
 
@@ -105,17 +101,11 @@ def intersect(u_vectors, v_vectors):
     """Basis of span(u) intersect span(v) via kernel of the stacked matrix."""
     if not u_vectors or not v_vectors:
         return []
-    m = len(u_vectors[0])
-    cols = [list(u) for u in u_vectors] + [[-x for x in v] for v in v_vectors]
-    mat = list(map(list, zip(*cols)))
-    combos = kernel(mat)
-    out = []
-    for combo in combos:
-        vec = [Fraction(0)] * m
-        for coef, u in zip(combo[:len(u_vectors)], u_vectors):
-            for j in range(m):
-                vec[j] += coef * u[j]
-        out.append(vec)
+    k = len(u_vectors)
+    cols = list(u_vectors) + [[-x for x in v] for v in v_vectors]
+    combos = kernel(list(zip(*cols)))
+    out = [[sum(a * x for a, x in zip(combo[:k], col))
+            for col in zip(*u_vectors)] for combo in combos]
     return row_space([v for v in out if any(v)])
 
 
@@ -125,40 +115,6 @@ def subspace_sum(u_vectors, v_vectors):
 
 def contains(space_vectors, vec):
     return rank(list(space_vectors) + [vec]) == rank(list(space_vectors))
-
-
-class GraphLinearMap:
-    """A linear map between spans of canonical graphs, stored column-wise.
-
-    The codomain basis is assembled lazily from the graphs appearing in the
-    images.
-    """
-
-    def __init__(self, domain_basis, images):
-        if len(domain_basis) != len(images):
-            raise ValueError("one image per domain vector")
-        self.domain_basis = list(domain_basis)
-        codomain = {}
-        for img in images:
-            for g in img.terms:
-                codomain.setdefault(g.canonical_key(), g)
-        self.codomain_basis = [codomain[k] for k in sorted(codomain)]
-        index = {g.canonical_key(): i for i, g in enumerate(self.codomain_basis)}
-        self.matrix = [[Fraction(0)] * len(domain_basis)
-                       for _ in self.codomain_basis]
-        for j, img in enumerate(images):
-            for g, c in img.terms.items():
-                self.matrix[index[g.canonical_key()]][j] = c
-
-    def rank(self):
-        return rank(self.matrix) if self.matrix else 0
-
-    def kernel(self):
-        if not self.matrix:
-            n = len(self.domain_basis)
-            return [[Fraction(1 if i == j else 0) for j in range(n)]
-                    for i in range(n)]
-        return kernel(self.matrix)
 
 
 # -- the named subspaces -------------------------------------------------------
@@ -172,11 +128,7 @@ def _coords(a: LinComb):
 
 
 def from_coords(vec) -> LinComb:
-    out = LinComb()
-    for g, c in zip(full_basis(), vec):
-        if c:
-            out = out + LinComb.of(g, c)
-    return out
+    return LinComb(zip(full_basis(), vec))
 
 
 def _pairing_row(comb: LinComb):
@@ -185,9 +137,18 @@ def _pairing_row(comb: LinComb):
 
 
 def _symbol_kernel(images):
-    """Canonical basis of the kernel of the map sending symbol j to images[j]."""
-    lmap = GraphLinearMap(full_basis(), images)
-    return tuple(tuple(v) for v in row_space(lmap.kernel()))
+    """Canonical basis of the kernel of the map sending symbol j to images[j].
+
+    The matrix has one row per graph occurring in the images, in
+    canonical-key order; a zero map has the single zero row, so its kernel
+    is the whole symbol span.
+    """
+    rows = {}
+    for j, img in enumerate(images):
+        for g, c in img.terms.items():
+            rows.setdefault(g.canonical_key(), [0] * len(images))[j] = c
+    mat = [rows[key] for key in sorted(rows)] or [[0] * len(images)]
+    return tuple(tuple(v) for v in row_space(kernel(mat)))
 
 
 @lru_cache(maxsize=None)

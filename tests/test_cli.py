@@ -50,6 +50,22 @@ def test_parse_print_byte_stable(tmp_path):
     assert second.stdout == first.stdout
 
 
+def test_print_is_canonical(tmp_path):
+    # one Christoffel cherry written with the Christoffel vertex first and
+    # second: isomorphic inputs print the same canonical bytes
+    first = tmp_path / "first.txt"
+    first.write_text("xgraph u=1 l=0\nv 0 Gamma\nv 1 Xi\nv 2 Xi\n"
+                     "e 0.out:1 -> up:1\ne 1.out:1 -> 0.in:1\n"
+                     "e 2.out:1 -> 0.in:2\npair 1 2\n")
+    second = tmp_path / "second.txt"
+    second.write_text("xgraph u=1 l=0\nv 0 Xi\nv 1 Gamma\nv 2 Xi\n"
+                      "e 1.out:1 -> up:1\ne 2.out:1 -> 1.in:1\n"
+                      "e 0.out:1 -> 1.in:2\npair 0 2\n")
+    a, b = run_cli("print", str(first)), run_cli("print", str(second))
+    assert a.returncode == b.returncode == 0
+    assert a.stdout == b.stdout == first.read_text()
+
+
 def test_parse_reports_line_numbers(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("xgraph u=1 l=0\nv 0 Xi\ne 0.out:1 -> up:7\n")
@@ -129,6 +145,8 @@ GRAPH_OK = "xgraph u=1 l=0\nv 0 Xi\ne 0.out:1 -> up:1\n"
     ("# header\n\nabc * {\n" + GRAPH_OK + "}\n", True, 3),
     ("1 * {\n" + GRAPH_OK + "}\n1/0 * {\n" + GRAPH_OK + "}\n", True, 6),
     ("1/2 * {\n\nxgraph u=1 l=0\nv y Xi\n}\n", True, 4),
+    ("xgraph u=1 l=0\n" + "".join(f"v {i} Xi\n" for i in range(12)),
+     False, 12),
 ])
 @pytest.mark.parametrize("command", ["parse", "print"])
 def test_malformed_input_reports_line(tmp_path, command, text, lincomb,

@@ -206,6 +206,17 @@ def test_parse_error_line_numbers():
     with pytest.raises(ParseError) as exc:
         parse_graph("xgraph u=1 l=0\nv 0 Xi\nbogus directive\n", GENERATORS)
     assert "line 3" in str(exc.value)
+    # the ten-vertex limit: the eleventh vertex line is the error
+    star = ("xgraph u=1 l=0\nv 0 h\n"
+            + "".join(f"v {i} Xi\n" for i in range(1, 10))
+            + "e 0.out:1 -> up:1\n"
+            + "".join(f"e {i}.out:1 -> 0.star\n" for i in range(1, 10)))
+    assert parse_graph(star, GENERATORS).n_vertices == 10
+    with pytest.raises(ParseError) as exc:
+        parse_graph(star.replace("e 0.out", "v 10 Xi\nv 11 Xi\ne 0.out"),
+                    GENERATORS)
+    assert "line 12:" in str(exc.value)
+    assert "more than 10 vertices" in str(exc.value)
 
 
 def test_perm_closure_validates():
