@@ -7,6 +7,11 @@ the grafting product on degree (1,0), the inner product making distinct
 canonical graphs orthogonal with ``<g,g>`` the automorphism count, and the
 adjoints of product / trace / derivation.  ``decompose`` writes any graph as
 ``tr^m alpha(d^{d1} t1 . ... . d^{dn} tn)``.
+
+Every operation on combinations is a graph map extended linearly: a function
+from one graph to an iterable of ``(graph, coefficient)`` pairs, handed to
+``LinComb.map_terms``.  ``LinComb(pairs)`` is the one way to build a
+combination; each pair is canonicalised and merged as it arrives.
 """
 
 from __future__ import annotations
@@ -98,11 +103,14 @@ class LinComb:
         return next(iter(degs)) if degs else None
 
     def map_terms(self, fn):
-        """Linear extension of a graph -> LinComb map."""
+        """Linear extension of a graph map.
+
+        ``fn`` sends one graph to an iterable of ``(graph, coefficient)``
+        pairs; the image graphs need not be canonical.
+        """
         out = LinComb()
         for g, c in self.terms.items():
-            img = fn(g)
-            for h, d in img.terms.items():
+            for h, d in fn(g):
                 out._add(h, c * d)
         return out
 
@@ -111,9 +119,6 @@ class LinComb:
             return "LinComb(0)"
         bits = [f"{c}*{g!r}" for g, c in self.items()]
         return "LinComb(" + " + ".join(bits) + ")"
-
-
-ZERO = LinComb()
 
 
 def unit():
@@ -258,29 +263,21 @@ def subgraph(g: XGraph, vertices, u_off, l_off):
 # -- LinComb-level operations -------------------------------------------------
 
 def act(alpha, a: LinComb) -> LinComb:
-    return a.map_terms(lambda g: LinComb.of(act_graph(alpha, g)))
+    return a.map_terms(lambda g: [(act_graph(alpha, g), 1)])
 
 
 def product(a: LinComb, b: LinComb) -> LinComb:
-    out = LinComb()
-    for g1, c1 in a.terms.items():
-        for g2, c2 in b.terms.items():
-            out._add(product_graph(g1, g2), c1 * c2)
-    return out
+    return a.map_terms(lambda g1: [(product_graph(g1, g2), c2)
+                                   for g2, c2 in b.terms.items()])
 
 
 def trace(a: LinComb) -> LinComb:
-    return a.map_terms(lambda g: LinComb.of(trace_graph(g)))
+    return a.map_terms(lambda g: [(trace_graph(g), 1)])
 
 
 def derive(a: LinComb) -> LinComb:
-    def per_graph(g):
-        out = LinComb()
-        for v in range(g.n_vertices):
-            out._add(derive_vertex_graph(g, v), 1)
-        return out
-
-    return a.map_terms(per_graph)
+    return a.map_terms(lambda g: [(derive_vertex_graph(g, v), 1)
+                                  for v in range(g.n_vertices)])
 
 
 def graft(a: LinComb, b: LinComb) -> LinComb:
@@ -359,22 +356,17 @@ def tensor_inner(pairs, f: LinComb, g: LinComb) -> Fraction:
 
 
 def trace_adjoint(a: LinComb) -> LinComb:
-    def per_graph(g):
-        out = LinComb()
-        for e in g.internal_edges():
-            out._add(cut_graph(g, e), 1)
-        return out
-
-    return a.map_terms(per_graph)
+    return a.map_terms(lambda g: [(cut_graph(g, e), 1)
+                                  for e in g.internal_edges()])
 
 
 def derive_adjoint(a: LinComb) -> LinComb:
     def per_graph(g):
         if g.l == 0:
-            return ZERO
+            return []
         target = g.wiring[("l", 1)]
         if target[0] == "u" or target[1] != 0:
-            return ZERO
+            return []
         wiring = {}
         for src, dst in g.wiring.items():
             if src[0] == "l":
@@ -383,7 +375,7 @@ def derive_adjoint(a: LinComb) -> LinComb:
                 wiring[("l", src[1] - 1)] = dst
             else:
                 wiring[src] = dst
-        return LinComb.of(XGraph(g.u, g.l - 1, g.types, wiring, g.pairing))
+        return [(XGraph(g.u, g.l - 1, g.types, wiring, g.pairing), 1)]
 
     return a.map_terms(per_graph)
 
@@ -500,14 +492,16 @@ def parse_lincomb(text: str, generators) -> LinComb:
 
 # -- vertex substitution ------------------------------------------------------
 
-def substitute_vertex(g: XGraph, v, image: LinComb, carrier=None) -> LinComb:
+def substitute_vertex(g: XGraph, v, image: LinComb, carrier=None):
     """Replace vertex v by an image element of matching degree.
 
-    ``image`` terms must have degree (out_arity, in_arity) of v's type.
-    Star edges of v are redistributed over all vertices of the image term
-    (Leibniz expansion of the derivative slots).  If v is paired, ``carrier``
-    must map an image term to the vertex index (in the term) inheriting the
-    pairing.
+    Yields the ``(graph, coefficient)`` pairs of the result, so a graph map
+    can pass them straight to ``LinComb.map_terms``; the graphs are not
+    canonical and like terms are not merged.  ``image`` terms must have
+    degree (out_arity, in_arity) of v's type.  Star edges of v are
+    redistributed over all vertices of the image term (Leibniz expansion of
+    the derivative slots).  If v is paired, ``carrier`` must map an image
+    term to the vertex index (in the term) inheriting the pairing.
     """
     t = g.types[v]
     keep = [w for w in range(g.n_vertices) if w != v]
@@ -516,7 +510,6 @@ def substitute_vertex(g: XGraph, v, image: LinComb, carrier=None) -> LinComb:
     for p in g.pairing:
         if v in p:
             (partner,) = p - {v}
-    out = LinComb()
     for term, coeff in image.terms.items():
         if term.degree != (t.out_arity, t.in_arity):
             raise DegreeError(
@@ -558,13 +551,9 @@ def substitute_vertex(g: XGraph, v, image: LinComb, carrier=None) -> LinComb:
             if carrier is None:
                 raise PairingError("substituting a paired vertex needs a carrier")
             pairing.append(frozenset({reindex[partner], carrier(term) + base}))
-        if not star_sources:
-            out._add(XGraph(g.u, g.l, types, wiring, pairing), coeff)
-            continue
         for assign in itertools.product(range(term.n_vertices),
                                         repeat=len(star_sources)):
             w = dict(wiring)
             for s, tv in zip(star_sources, assign):
                 w[s] = (tv + base, 0)
-            out._add(XGraph(g.u, g.l, types, w, pairing), coeff)
-    return out
+            yield XGraph(g.u, g.l, types, w, pairing), coeff

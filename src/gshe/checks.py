@@ -198,12 +198,9 @@ def suite_identities(seed=0, cases=500):
         tally("phi_geo_commutes", ok)
 
     def random_span_element(k=3):
-        out = LinComb()
-        for _ in range(k):
-            out = out + LinComb.of(basis[rng.randrange(len(basis))],
-                                   Fraction(rng.randint(-3, 3),
-                                            rng.randint(1, 3)))
-        return out
+        return LinComb((basis[rng.randrange(len(basis))],
+                        Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                       for _ in range(k))
 
     for it in range(cases):
         X = random_span_element()

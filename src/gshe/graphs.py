@@ -393,35 +393,26 @@ class XGraph:
         twin_blocks = self._twin_classes(self._wl_colors())
         groups = [self.types[v].slot_group for v in range(self.n_vertices)]
         best = None
-        best_data = None
+        best_order = None
         hits = 0
         for order in self._orderings(twin_blocks):
             for choice in itertools.product(*groups):
                 enc = self._encode(order, choice)
                 if best is None or enc < best:
-                    best, best_data, hits = enc, (order, choice), 1
+                    best, best_order, hits = enc, order, 1
                 elif enc == best:
                     hits += 1
         for classes in twin_blocks:
             for cls in classes:
                 hits *= math.factorial(len(cls))
-        order, choice = best_data
-        pos = {v: i for i, v in enumerate(order)}
-        wiring = {}
-        for src, dst in self.wiring.items():
-            s = src if src[0] == "l" else (pos[src[0]], choice[src[0]][1][src[1] - 1])
-            if dst[0] == "u":
-                d = dst
-            elif dst[1] == 0:
-                d = (pos[dst[0]], 0)
-            else:
-                d = (pos[dst[0]], choice[dst[0]][0][dst[1] - 1])
-            wiring[s] = d
+        _, entries, pairs = best
         # A relabelling of this validated graph: skip __init__'s checks.
         g = XGraph.__new__(XGraph)
-        g.u, g.l, g.wiring = self.u, self.l, wiring
-        g.types = tuple(self.types[v] for v in order)
-        g.pairing = frozenset(frozenset(pos[v] for v in p) for p in self.pairing)
+        g.u, g.l = self.u, self.l
+        g.wiring = {(("l", s[1]) if s[0] == -1 else s):
+                    (("u", d[1]) if d[0] == -1 else d) for s, d in entries}
+        g.types = tuple(self.types[v] for v in best_order)
+        g.pairing = frozenset(map(frozenset, pairs))
         key = (self.u, self.l, best)
         g._canon, g._aut, g._key = g, hits, key
         self._canon, self._aut, self._key = g, hits, key

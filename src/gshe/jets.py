@@ -525,19 +525,18 @@ class Valuation:
         raise ValueError(f"no jet for generator {name!r}")
 
     def evaluate_graph(self, g: XGraph) -> TensorJet:
-        """Evaluate one graph; trees use recursive contraction."""
+        """Evaluate one graph; rooted trees use recursive contraction."""
         if g.pairing:
             raise ValueError("evaluate_graph takes labelled (unpaired) graphs")
-        if g.l == 0 and g.u <= 1 and _is_rooted_forest(g):
+        if g.u == 1 and g.l == 0 and not g.has_directed_cycle():
             return self._evaluate_tree(g)
         return self._evaluate_decompose(g)
 
     def _evaluate_tree(self, g: XGraph) -> TensorJet:
         children = {v: {"star": [], "native": {}} for v in range(g.n_vertices)}
-        roots = []
         for src, dst in g.wiring.items():
             if dst[0] == "u":
-                roots.append(src[0])
+                root = src[0]
             elif dst[1] == 0:
                 children[dst[0]]["star"].append(src[0])
             else:
@@ -559,12 +558,7 @@ class Valuation:
             memo[v] = tens
             return tens
 
-        if g.u == 1:
-            return value(roots[0])
-        # degree (0,0): product of the traces of closed components is not a
-        # tree; _is_rooted_forest only admits the empty graph here.
-        return TensorJet(0, 0, self.d, self.order,
-                         {(): Jet.constant(self.d, self.order, 1)})
+        return value(root)
 
     def _evaluate_decompose(self, g: XGraph) -> TensorJet:
         from .algebra import decompose
@@ -582,10 +576,7 @@ class Valuation:
     def __call__(self, a) -> TensorJet:
         """Evaluate a LinComb of labelled graphs or one paired symbol."""
         if isinstance(a, XGraph):
-            if a.pairing:
-                a = iota_expand(a, len(self.sigmas))
-            else:
-                a = LinComb.of(a)
+            a = LinComb.of(a)
         out = None
         for g, c in a.terms.items():
             if g.pairing:
@@ -599,14 +590,6 @@ class Valuation:
             u, l = next(iter(degs)) if degs else (0, 0)
             return TensorJet(u, l, self.d, self.order, {})
         return out
-
-
-def _is_rooted_forest(g: XGraph) -> bool:
-    """Every output feeds an internal slot or up:1; acyclic; no low slots."""
-    if g.l != 0 or g.has_directed_cycle():
-        return False
-    ups = sum(1 for d in g.wiring.values() if d[0] == "u")
-    return ups == g.u
 
 
 # -- differential geometry oracles ---------------------------------------------

@@ -108,34 +108,30 @@ def tau_c() -> LinComb:
 
 # -- infinitesimal diffeomorphism action --------------------------------------
 
-def _graph(u, l, types, wiring, pairing=()):
-    return XGraph(u, l, types, wiring, pairing)
-
-
 @lru_cache(maxsize=None)
 def _image_noise() -> LinComb:
     """[Xi, h] = Xi grafted on h minus h grafted on Xi."""
-    t1 = _graph(1, 0, (NOISE, DIFF), {(0, 1): (1, 0), (1, 1): ("u", 1)})
-    t2 = _graph(1, 0, (NOISE, DIFF), {(1, 1): (0, 0), (0, 1): ("u", 1)})
+    t1 = XGraph(1, 0, (NOISE, DIFF), {(0, 1): (1, 0), (1, 1): ("u", 1)})
+    t2 = XGraph(1, 0, (NOISE, DIFF), {(1, 1): (0, 0), (0, 1): ("u", 1)})
     return LinComb.of(t1) - LinComb.of(t2)
 
 
 @lru_cache(maxsize=None)
 def _image_gamma() -> LinComb:
     """Transformation of the Christoffel generator under the h-action."""
-    g1 = _graph(1, 2, (GAMMA, DIFF),
+    g1 = XGraph(1, 2, (GAMMA, DIFF),
                 {(0, 1): (1, 0), (1, 1): ("u", 1),
                  ("l", 1): (0, 1), ("l", 2): (0, 2)})
-    g2 = _graph(1, 2, (GAMMA, DIFF),
+    g2 = XGraph(1, 2, (GAMMA, DIFF),
                 {(1, 1): (0, 0), (0, 1): ("u", 1),
                  ("l", 1): (0, 1), ("l", 2): (0, 2)})
-    g3 = _graph(1, 2, (GAMMA, DIFF),
+    g3 = XGraph(1, 2, (GAMMA, DIFF),
                 {(1, 1): (0, 2), (0, 1): ("u", 1),
                  ("l", 1): (1, 0), ("l", 2): (0, 1)})
-    g4 = _graph(1, 2, (GAMMA, DIFF),
+    g4 = XGraph(1, 2, (GAMMA, DIFF),
                 {(1, 1): (0, 2), (0, 1): ("u", 1),
                  ("l", 1): (0, 1), ("l", 2): (1, 0)})
-    g5 = _graph(1, 2, (DIFF,),
+    g5 = XGraph(1, 2, (DIFF,),
                 {(0, 1): ("u", 1), ("l", 1): (0, 0), ("l", 2): (0, 0)})
     return (LinComb.of(g1) - LinComb.of(g2) - LinComb.of(g3) - LinComb.of(g4)
             - 2 * LinComb.of(g5))
@@ -148,18 +144,16 @@ def _noise_carrier(term: XGraph) -> int:
 def phi_geo(a: LinComb) -> LinComb:
     """Infinitesimal morphism with phi(Xi) = [Xi,h] and the Gamma image above."""
     def per_graph(g):
-        out = LinComb()
         for v, t in enumerate(g.types):
             if t.name == NOISE.name:
-                out = out + substitute_vertex(g, v, _image_noise(),
-                                              carrier=_noise_carrier)
+                yield from substitute_vertex(g, v, _image_noise(),
+                                             carrier=_noise_carrier)
             elif t.name == GAMMA.name:
-                out = out + substitute_vertex(g, v, _image_gamma())
+                yield from substitute_vertex(g, v, _image_gamma())
             elif t.name == DIFF.name:
                 raise ValueError("phi_geo domain excludes h-decorated graphs")
             else:
                 raise ValueError(f"phi_geo undefined on generator {t.name!r}")
-        return out
 
     return a.map_terms(per_graph)
 
@@ -217,7 +211,7 @@ def m_ito(a: LinComb) -> LinComb:
                 nd = (new_index[dst[0]], dst[1])
             wiring[ns] = nd
         pairing = [p for p in g.pairing if not any(set(p) == set(q) for q in pairs)]
-        return LinComb.of(XGraph(g.u, g.l, types, wiring, pairing), coeff)
+        return [(XGraph(g.u, g.l, types, wiring, pairing), coeff)]
 
     return a.map_terms(per_graph)
 
@@ -231,27 +225,21 @@ def M_ito(a: LinComb) -> LinComb:
             mate[v], mate[w] = w, v
         star_edges = [s for s, d in g.wiring.items()
                       if d[0] != "u" and d[1] == 0 and d[0] in mate]
-        out = LinComb()
         weight = Fraction(1, 2 ** len(star_edges))
         for flips in itertools.product((False, True), repeat=len(star_edges)):
             wiring = dict(g.wiring)
             for s, flip in zip(star_edges, flips):
                 if flip:
                     wiring[s] = (mate[wiring[s][0]], 0)
-            out = out + LinComb.of(
-                XGraph(g.u, g.l, g.types, wiring, g.pairing), weight)
-        return out
+            yield XGraph(g.u, g.l, g.types, wiring, g.pairing), weight
 
     return a.map_terms(per_graph)
 
 
 def p_acyc(a: LinComb) -> LinComb:
     """Drop terms whose pair-merged directed graph contains a cycle."""
-    out = LinComb()
-    for g, c in a.terms.items():
-        if not g.has_directed_cycle(merge_pairs=True):
-            out = out + LinComb.of(g, c)
-    return out
+    return LinComb((g, c) for g, c in a.terms.items()
+                   if not g.has_directed_cycle(merge_pairs=True))
 
 
 def p_ito(a: LinComb) -> LinComb:
@@ -274,20 +262,11 @@ def phi_ito(a: LinComb) -> LinComb:
     after m_ito``).
     """
     def per_graph(g):
-        out = LinComb.of(g)
-        while True:
-            gp = next((v for term in out.terms for v, t in enumerate(term.types)
-                       if t.name == GPAIR.name), None)
-            if gp is None:
-                return out
-            out = out.map_terms(lambda h: _expand_first_pair(h))
-        return out
+        v = next((v for v, t in enumerate(g.types) if t.name == GPAIR.name),
+                 None)
+        if v is None:
+            return [(g, 1)]
+        return [(k, c * d) for h, c in substitute_vertex(g, v, _pair_image())
+                for k, d in per_graph(h)]
 
     return a.map_terms(per_graph)
-
-
-def _expand_first_pair(g: XGraph) -> LinComb:
-    v = next((v for v, t in enumerate(g.types) if t.name == GPAIR.name), None)
-    if v is None:
-        return LinComb.of(g)
-    return substitute_vertex(g, v, _pair_image())

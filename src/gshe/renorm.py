@@ -8,9 +8,11 @@ additive stochastic heat equation on the circle checked against its exact
 per-mode variance, and the sphere-valued equation driven by the closest-point
 projection frame.
 
-The flat solver's implicit Euler step runs on real FFTs: its fields are real,
-so the step multiplies the rfft coefficients k = 0..N//2 by
-1 / (1 + dt lambda_k) and transforms back with irfft at length N.
+Both circle solvers take the same implicit Euler heat step on real FFTs:
+their fields are real, so the step multiplies the rfft coefficients
+k = 0..N//2 by 1 / (1 + dt lambda_k) and transforms back with irfft at
+length N.  Only the sphere solver's noise smoothing still runs on complex
+transforms.
 """
 
 from __future__ import annotations
@@ -347,10 +349,9 @@ def flat_mode_variance_oracle(cfg: SimConfig, k: int):
     return np.diag(ssT) * gain
 
 
-def _implicit_gain(cfg: SimConfig):
-    """1 / (1 + dt lambda_k) in rfft layout, k = 0..N//2."""
-    N = cfg.n_grid
-    return 1.0 / (1.0 + cfg.dt * periodic_laplacian(N)[1][:N // 2 + 1])
+def _implicit_gain(n, dt):
+    """1 / (1 + dt lambda_k) in rfft layout, k = 0..n//2."""
+    return 1.0 / (1.0 + dt * periodic_laplacian(n)[1][:n // 2 + 1])
 
 
 def _implicit_step(u, gain):
@@ -379,7 +380,7 @@ def she_simulate(cfg: SimConfig, modes=8, n_replicas=160):
     """
     N, d, m = cfg.n_grid, cfg.dim, cfg.n_noise
     dx = 2.0 * math.pi / N
-    gain = _implicit_gain(cfg)
+    gain = _implicit_gain(N, cfg.dt)
     mix = cfg.sigma * (cfg.noise_scale * math.sqrt(cfg.dt / dx))
     burn = max(cfg.burn, int(5.0 / (cfg.dt * laplacian_symbol(1, N))) + 1)
     rng = np.random.default_rng(cfg.seed)
@@ -412,7 +413,7 @@ def heat_decay_error(cfg: SimConfig, n_steps=200):
     x = 2.0 * math.pi * np.arange(N) / N
     u = np.sin(x) + 0.3 * np.cos(3 * x)
     denom = 1.0 + cfg.dt * periodic_laplacian(N)[1]
-    gain = _implicit_gain(cfg)
+    gain = _implicit_gain(N, cfg.dt)
     u0_hat = np.fft.fft(u)
     v = u
     for _ in range(n_steps):
@@ -476,8 +477,8 @@ def sphere_simulate(n_grid=64, dt=None, n_steps=400, seed=0, noise_scale=1.0):
     u = np.vstack([np.cos(x) * math.sqrt(0.5),
                    np.sin(x) * math.sqrt(0.5),
                    np.full(N, math.sqrt(0.5))])
-    k_all, lam = periodic_laplacian(N)
-    denom = 1.0 + dt * lam
+    k_all = periodic_laplacian(N)[0]
+    gain = _implicit_gain(N, dt)
     # spatial mollification at scale 0.3: Gaussian multiplier on modes
     smooth = np.exp(-(k_all * 0.3) ** 2 / 2.0)
     max_dist = 0.0
@@ -495,7 +496,7 @@ def sphere_simulate(n_grid=64, dt=None, n_steps=400, seed=0, noise_scale=1.0):
         else:
             noise = 0.0
         rhs = u + dt * drift + noise
-        u = np.real(np.fft.ifft(np.fft.fft(rhs, axis=1) / denom[None, :], axis=1))
+        u = _implicit_step(rhs, gain)
         if not np.isfinite(u).all() or np.abs(u).max() > 1e3:
             raise StabilityError(f"sphere run blew up at step {step}")
         dist = float(np.max(np.abs(np.sqrt(np.sum(u * u, axis=0)) - 1.0)))

@@ -10,6 +10,7 @@ with four there are 52, for a total basis of 54.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from .algebra import LinComb
@@ -166,16 +167,15 @@ def iota_expand(s: XGraph, m: int) -> LinComb:
     noise_ids = {v for v, t in enumerate(s.types) if t.name == NOISE.name}
     if {v for p in pairs for v in p} != noise_ids:
         raise PairingError("iota needs a perfect pairing of the noise vertices")
-    out = LinComb()
-    import itertools
 
-    for labels in itertools.product(range(1, m + 1), repeat=len(pairs)):
-        types = list(s.types)
-        for (v, w), lab in zip(pairs, labels):
-            types[v] = labeled_noise(lab)
-            types[w] = labeled_noise(lab)
-        out = out + LinComb.of(XGraph(s.u, s.l, types, s.wiring))
-    return out
+    def labellings():
+        for labels in itertools.product(range(1, m + 1), repeat=len(pairs)):
+            types = list(s.types)
+            for (v, w), lab in zip(pairs, labels):
+                types[v] = types[w] = labeled_noise(lab)
+            yield XGraph(s.u, s.l, types, s.wiring), 1
+
+    return LinComb(labellings())
 
 
 def forget_labels(a: LinComb, pair_by=None) -> LinComb:
@@ -199,7 +199,7 @@ def forget_labels(a: LinComb, pair_by=None) -> LinComb:
             if len(vs) != 2:
                 raise PairingError(f"pair {name} occurs {len(vs)} times")
             pairing.append(tuple(vs))
-        return LinComb.of(XGraph(g.u, g.l, types, g.wiring, pairing))
+        return [(XGraph(g.u, g.l, types, g.wiring, pairing), 1)]
 
     return a.map_terms(per_graph)
 

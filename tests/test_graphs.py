@@ -264,10 +264,17 @@ def _gamma_fan(stars):
     return XGraph(1, 0, [GAMMA] + [NOISE] * (2 + stars), wiring)
 
 
+def _noise_cycle(n):
+    """n noises, each output feeding the next noise's star slot: degree (0,0)."""
+    return XGraph(0, 0, [NOISE] * n, {(v, 1): ((v + 1) % n, 0) for v in range(n)})
+
+
 @pytest.mark.parametrize("g, aut", [
     (_star(9, False), math.factorial(9)),
     (_star(8, True), math.factorial(4) * 2 ** 4),
     (_gamma_fan(7), 2 * math.factorial(7)),
+    (_noise_cycle(6), 6),
+    (_noise_cycle(7), 7),
 ])
 def test_symmetric_graphs_closed_form(g, aut):
     rng = random.Random(7)
