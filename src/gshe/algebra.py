@@ -471,9 +471,10 @@ def parse_lincomb(text: str, generators) -> LinComb:
         if not line or line.startswith("#") or line == "0":
             i += 1
             continue
-        if "*" not in line or not line.endswith("{"):
+        parts = line.split("*")
+        if len(parts) != 2 or parts[1].strip() != "{":
             raise ParseError(i + 1, "expected '<rational> * {'")
-        tok = line.split("*")[0].strip()
+        tok = parts[0].strip()
         try:
             coeff = Fraction(tok)
         except (ValueError, ZeroDivisionError):

@@ -147,6 +147,11 @@ GRAPH_OK = "xgraph u=1 l=0\nv 0 Xi\ne 0.out:1 -> up:1\n"
     ("1/2 * {\n\nxgraph u=1 l=0\nv y Xi\n}\n", True, 4),
     ("xgraph u=1 l=0\n" + "".join(f"v {i} Xi\n" for i in range(12)),
      False, 12),
+    ("xgraph u=-1 l=0\n", False, 1),
+    ("xgraph u=1 l=-2\nv 0 Xi\ne 0.out:1 -> up:1\n", False, 1),
+    ("xgraph u=0 l=0 junk=3\n", False, 1),
+    (GRAPH_OK + "xgraph u=1 l=0\n", False, 4),
+    ("1 * 2 * {\n" + GRAPH_OK + "}\n", True, 1),
 ])
 @pytest.mark.parametrize("command", ["parse", "print"])
 def test_malformed_input_reports_line(tmp_path, command, text, lincomb,

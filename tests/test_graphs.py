@@ -1,10 +1,14 @@
 import itertools
 import math
 import random
+import re
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gshe.algebra import act_graph
+from gshe.algebra import act_graph, parse_lincomb
 from gshe.checks import _brute_aut
 from gshe.graphs import (GeneratorType, ParseError, PairingError,
                          StructureError, XGraph, empty_graph, format_graph,
@@ -16,9 +20,9 @@ from gshe.symbols import DIFF, GAMMA, GENERATORS, GPAIR, NOISE
 def ref_canonicalize(g):
     """(canonical key, automorphism count) by the exhaustive search.
 
-    A test-only copy of the search ``XGraph.canonicalize`` ran before twin
-    quotienting: every colour-respecting ordering times every slot choice.
-    It shares ``_wl_colors`` and ``_encode`` with the class.
+    Every colour-respecting ordering times every slot choice, with no
+    pruning by automorphisms.  It shares ``_wl_colors`` and ``_encode``
+    with the class.
     """
     classes = {}
     for v, c in enumerate(g._wl_colors()):
@@ -200,6 +204,19 @@ def test_parse_error_line_numbers():
         with pytest.raises(ParseError) as exc:
             parse_graph(text, GENERATORS, offset=10)
         assert "line 11:" in str(exc.value)
+    # one header per block, with degrees >= 0 and no other keys
+    one = "xgraph u=1 l=0\nv 0 Xi\ne 0.out:1 -> up:1\n"
+    for text, lineno in [("xgraph u=-1 l=0\n", 1),
+                         ("xgraph u=1 l=-2\nv 0 Xi\ne 0.out:1 -> up:1\n", 1),
+                         ("xgraph u=0 l=0 junk=3\n", 1),
+                         ("xgraph l=0 u=0\n", 1),
+                         (one + "xgraph u=1 l=0\n", 4)]:
+        with pytest.raises(ParseError) as exc:
+            parse_graph(text, GENERATORS)
+        assert f"line {lineno}:" in str(exc.value), text
+    with pytest.raises(ParseError) as exc:
+        parse_lincomb("1 * 2 * {\n" + one + "}\n", GENERATORS)
+    assert "line 1:" in str(exc.value)
     with pytest.raises(ParseError) as exc:
         parse_graph("xgraph u=1 l=0\nv 0 Bogus\n", GENERATORS)
     assert "line 2" in str(exc.value)
@@ -224,7 +241,21 @@ def test_perm_closure_validates():
         GeneratorType("bad", 2, 1, in_sym=((1, 1),))
 
 
-def test_twin_quotient_matches_exhaustive_search():
+def has_twins(g):
+    """Two vertices of one refined colour whose transposition, with
+    identity slot choices, preserves the wiring and the pairing."""
+    colors = g._wl_colors()
+    for u, v in itertools.combinations(range(g.n_vertices), 2):
+        if colors[u] == colors[v]:
+            perm = list(range(g.n_vertices))
+            perm[u], perm[v] = v, u
+            h = relabel(g, perm)
+            if h.wiring == g.wiring and h.pairing == g.pairing:
+                return True
+    return False
+
+
+def test_canonical_search_matches_exhaustive_search():
     # keys and automorphism counts equal those of the full search, on
     # random graphs of up to 7 vertices, paired and unpaired, many of them
     # with twins (star leaves of a shared vertex) or with vertices that
@@ -242,8 +273,7 @@ def test_twin_quotient_matches_exhaustive_search():
             g = with_leaves(rng, g, rng.randint(2, 7 - g.n_vertices), paired)
         else:
             g = cycles(rng, rng.randint(2, 6), paired)
-        blocks = g._twin_classes(g._wl_colors())
-        with_twins += any(len(c) > 1 for b in blocks for c in b)
+        with_twins += has_twins(g)
         assert (g.canonical_key(), g.aut_count()) == ref_canonicalize(g), \
             (i, format_graph(g))
     assert with_twins > 100
@@ -264,17 +294,24 @@ def _gamma_fan(stars):
     return XGraph(1, 0, [GAMMA] + [NOISE] * (2 + stars), wiring)
 
 
-def _noise_cycle(n):
-    """n noises, each output feeding the next noise's star slot: degree (0,0)."""
-    return XGraph(0, 0, [NOISE] * n, {(v, 1): ((v + 1) % n, 0) for v in range(n)})
+def _noise_cycles(*lengths):
+    """Disjoint cycles of noises, each output feeding the next noise's star
+    slot: degree (0,0)."""
+    wiring, start = {}, 0
+    for n in lengths:
+        wiring.update({(start + v, 1): (start + (v + 1) % n, 0) for v in range(n)})
+        start += n
+    return XGraph(0, 0, [NOISE] * start, wiring)
 
 
 @pytest.mark.parametrize("g, aut", [
     (_star(9, False), math.factorial(9)),
     (_star(8, True), math.factorial(4) * 2 ** 4),
     (_gamma_fan(7), 2 * math.factorial(7)),
-    (_noise_cycle(6), 6),
-    (_noise_cycle(7), 7),
+    (_noise_cycles(6), 6),
+    (_noise_cycles(7), 7),
+    (_noise_cycles(4, 4), 4 * 4 * 2),
+    (_noise_cycles(3, 3, 3), 3 ** 3 * math.factorial(3)),
 ])
 def test_symmetric_graphs_closed_form(g, aut):
     rng = random.Random(7)
@@ -287,3 +324,46 @@ def test_symmetric_graphs_closed_form(g, aut):
         prints.add(format_graph(h.canonicalize()[0]))
     assert len(prints) == 1
     assert g.aut_count() == aut
+
+
+BASIS_BLOCKS = [b for b in resources.files("gshe.data").joinpath("basis.txt")
+                .read_text().split("\n\n") if b.strip()]
+TOKENS = sorted({t for b in BASIS_BLOCKS for t in b.split()}
+                | {"x", "-1", "11", "u=-1", "l=x", "junk=3", "*", "{", "}"})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_parser_fuzz_basis_blocks(data):
+    # a mutated basis block is a ParseError, or a graph whose canonical
+    # print parses back to an equal graph with the same print
+    lines = data.draw(st.sampled_from(BASIS_BLOCKS)).splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = data.draw(st.integers(0, len(lines) - 1))
+        kind = data.draw(st.sampled_from(["delete", "duplicate", "swap", "int", "token"]))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "int":
+            spans = [m.span() for m in re.finditer(r"\d+", lines[i])]
+            if spans:
+                a, b = data.draw(st.sampled_from(spans))
+                lines[i] = lines[i][:a] + str(data.draw(st.integers(-1, 11))) + lines[i][b:]
+        else:
+            toks = lines[i].split()
+            toks[data.draw(st.integers(0, len(toks) - 1))] = data.draw(st.sampled_from(TOKENS))
+            lines[i] = " ".join(toks)
+    try:
+        g = parse_graph("\n".join(lines), GENERATORS)
+    except ParseError:
+        return
+    text = format_graph(g.canonicalize()[0])
+    h = parse_graph(text, GENERATORS)
+    assert h == g
+    assert format_graph(h.canonicalize()[0]) == text
