@@ -167,7 +167,9 @@ def _norm_src(s):
 class XGraph:
     """Immutable decorated graph; hashes and compares by canonical form."""
 
-    __slots__ = ("u", "l", "types", "wiring", "pairing", "_canon", "_aut", "_key")
+    # ``_canon`` is None until canonicalised, then (canonical graph, or None
+    # when this graph is its own canonical form, aut count, canonical key).
+    __slots__ = ("u", "l", "types", "wiring", "pairing", "_canon")
 
     def __init__(self, u, l, types, wiring, pairing=()):
         wiring = dict(wiring)
@@ -177,7 +179,7 @@ class XGraph:
         seen = set()
         for p in map(frozenset, pairing):
             if p in pset:
-                continue
+                raise PairingError(f"repeated pair {sorted(p)}", p)
             if len(p) != 2 or not all(isinstance(v, int) and 0 <= v < len(types) for v in p):
                 raise PairingError(f"bad pair {set(p)}", p)
             if p & seen:
@@ -190,8 +192,6 @@ class XGraph:
         self.wiring = wiring
         self.pairing = frozenset(pset)
         self._canon = None
-        self._aut = None
-        self._key = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -248,19 +248,20 @@ class XGraph:
         for src, dst in self.wiring.items():
             if isinstance(src[0], int) and isinstance(dst[0], int):
                 adj[rep[src[0]]].add(rep[dst[0]])
-        state = {}
-
-        def visit(v):
-            state[v] = 1
-            for w in adj[v]:
-                if state.get(w, 0) == 1:
-                    return True
-                if state.get(w, 0) == 0 and visit(w):
-                    return True
-            state[v] = 2
-            return False
-
-        return any(state.get(v, 0) == 0 and visit(v) for v in range(n))
+        # Peel vertices with no incoming edge; a cycle is what never peels.
+        indeg = [0] * n
+        for ws in adj.values():
+            for w in ws:
+                indeg[w] += 1
+        todo = [v for v in range(n) if not indeg[v]]
+        peeled = 0
+        while todo:
+            peeled += 1
+            for w in adj[todo.pop()]:
+                indeg[w] -= 1
+                if not indeg[w]:
+                    todo.append(w)
+        return peeled < n
 
     # -- canonicalisation --------------------------------------------------
 
@@ -330,7 +331,8 @@ class XGraph:
         already explored, taking that subtree's (minimum, hits) instead.
         """
         if self._canon is not None:
-            return self._canon, self._aut
+            g, hits, _ = self._canon
+            return (self if g is None else g), hits
         by_color = {}
         for v, c in enumerate(self._wl_colors()):
             by_color.setdefault(c, []).append(v)
@@ -347,14 +349,16 @@ class XGraph:
         g.types = tuple(self.types[v] for v in state[1])
         g.pairing = frozenset(map(frozenset, pairs))
         key = (self.u, self.l, best)
-        g._canon, g._aut, g._key = g, hits, key
-        self._canon, self._aut, self._key = g, hits, key
+        # None, not g itself: a self-reference would leave every dropped
+        # canonical graph to the cyclic garbage collector.
+        g._canon = (None, hits, key)
+        self._canon = (g, hits, key)
         return g, hits
 
     def canonical_key(self):
-        if self._key is None:
+        if self._canon is None:
             self.canonicalize()
-        return self._key
+        return self._canon[2]
 
     def aut_count(self):
         return self.canonicalize()[1]
@@ -564,15 +568,12 @@ def parse_graph(text, generators, offset=0):
             if len(parts) != 3:
                 raise ParseError(lineno, "expected 'pair <id> <id>'")
             pair = tuple(_ints(parts[1:], lineno, "pair"))
-            key = frozenset(pair)
-            if key in pair_lines:
-                raise ParseError(lineno, f"duplicate pair {parts[1]} {parts[2]}")
             pairing.append(pair)
-            pair_lines[key] = lineno
+            pair_lines[frozenset(pair)] = lineno
     if u is None:
         raise ParseError(offset + 1, "missing 'xgraph' header")
-    # An error naming one edge or pair is reported at its line, any other
-    # at the block's first line.
+    # An error naming one edge or pair is reported at its line (a repeated
+    # pair at its last), any other at the block's first line.
     try:
         return XGraph(u, l, types, wiring, pairing)
     except StructureError as exc:

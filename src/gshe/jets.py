@@ -11,7 +11,9 @@ a (u, l)-indexed family of jets and realises the tensor operations mirroring
 the graph side: slot permutation, product, trace of the last upper/lower
 pair, derivation prepending a lower slot.  The valuation maps noise
 generators to vector-field jets and the Christoffel generator to twice the
-Christoffel jet, then evaluates graphs by recursive contraction.
+Christoffel jet, evaluates each graph by contraction, and extends linearly:
+a paired symbol is the sum over its labellings, each evaluated as it comes
+(nothing is merged or canonicalised first), added into one tensor jet.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .algebra import LinComb
 from .graphs import DegreeError, ParseError, XGraph
 from .subspaces import rref
 from .symbols import GAMMA, GPAIR, NOISE, iota_expand
@@ -485,12 +486,17 @@ def tensors_agree(t1: TensorJet, t2: TensorJet, order=None) -> bool:
 # -- the valuation -------------------------------------------------------------
 
 class Valuation:
-    """Morphism data: jets for the Christoffel generator and noise fields."""
+    """Morphism data: jets for the Christoffel generator and noise fields.
 
-    def __init__(self, gamma: TensorJet, sigmas, h: TensorJet = None):
+    ``gamma`` must be symmetric in its two lower slots, as the Christoffel
+    generator's slot symmetry declares: isomorphic labelled graphs then get
+    equal values, so evaluating every labelling of a paired symbol gives
+    the same jets as evaluating the merged canonical graphs.
+    """
+
+    def __init__(self, gamma: TensorJet, sigmas):
         self.gamma = gamma
         self.sigmas = list(sigmas)
-        self.h = h
         self.d = gamma.d if gamma is not None else self.sigmas[0].d
         self.order = gamma.order if gamma is not None else self.sigmas[0].order
         self._generators = {}
@@ -498,8 +504,8 @@ class Valuation:
     def generator_tensor(self, name, k=0):
         """The jet of generator ``name`` derived k times, cached per (name, k).
 
-        The cache relies on ``gamma``, ``sigmas`` and ``h`` staying unchanged
-        after construction.
+        The cache relies on ``gamma`` and ``sigmas`` staying unchanged after
+        construction.
         """
         tens = self._generators.get((name, k))
         if tens is None:
@@ -516,10 +522,6 @@ class Valuation:
         if name.startswith("Xi"):
             i = int(name[2:])
             return self.sigmas[i - 1]
-        if name == "h":
-            if self.h is None:
-                raise ValueError("no jet supplied for the h generator")
-            return self.h
         if name == GPAIR.name:
             return inverse_metric(self.sigmas)
         raise ValueError(f"no jet for generator {name!r}")
@@ -528,37 +530,29 @@ class Valuation:
         """Evaluate one graph; rooted trees use recursive contraction."""
         if g.pairing:
             raise ValueError("evaluate_graph takes labelled (unpaired) graphs")
-        if g.u == 1 and g.l == 0 and not g.has_directed_cycle():
+        if (g.u == 1 and g.l == 0 and all(t.out_arity == 1 for t in g.types)
+                and not g.has_directed_cycle()):
             return self._evaluate_tree(g)
         return self._evaluate_decompose(g)
 
     def _evaluate_tree(self, g: XGraph) -> TensorJet:
-        children = {v: {"star": [], "native": {}} for v in range(g.n_vertices)}
-        for src, dst in g.wiring.items():
+        # Every vertex has one output, so one parent: kids[v] lists
+        # (slot, child), sorted so the star slot 0 comes before the natives.
+        kids = [[] for _ in g.types]
+        for (v, _), dst in g.wiring.items():
             if dst[0] == "u":
-                root = src[0]
-            elif dst[1] == 0:
-                children[dst[0]]["star"].append(src[0])
+                root = v
             else:
-                children[dst[0]]["native"][dst[1]] = src[0]
+                kids[dst[0]].append((dst[1], v))
+        return self._tree_value(g, kids, root)
 
-        memo = {}
-
-        def value(v):
-            if v in memo:
-                return memo[v]
-            t = g.types[v]
-            stars = children[v]["star"]
-            tens = self.generator_tensor(t.name, len(stars))
-            # lower slots now: [stars..., natives...]; contract from the front
-            for w in stars:
-                tens = tens.contract_lower(1, value(w))
-            for j in range(1, t.in_arity + 1):
-                tens = tens.contract_lower(1, value(children[v]["native"][j]))
-            memo[v] = tens
-            return tens
-
-        return value(root)
+    def _tree_value(self, g, kids, v):
+        t = g.types[v]
+        tens = self.generator_tensor(t.name, len(kids[v]) - t.in_arity)
+        # lower slots now: [stars..., natives...]; contract from the front
+        for _, w in sorted(kids[v]):
+            tens = tens.contract_lower(1, self._tree_value(g, kids, w))
+        return tens
 
     def _evaluate_decompose(self, g: XGraph) -> TensorJet:
         from .algebra import decompose
@@ -574,22 +568,26 @@ class Valuation:
         return out
 
     def __call__(self, a) -> TensorJet:
-        """Evaluate a LinComb of labelled graphs or one paired symbol."""
-        if isinstance(a, XGraph):
-            a = LinComb.of(a)
-        out = None
-        for g, c in a.terms.items():
-            if g.pairing:
-                val = self(iota_expand(g, len(self.sigmas)))
-            else:
-                val = self.evaluate_graph(g)
-            val = c * val
-            out = val if out is None else out + val
-        if out is None:
-            degs = a.degrees()
-            u, l = next(iter(degs)) if degs else (0, 0)
-            return TensorJet(u, l, self.d, self.order, {})
-        return out
+        """The linear extension of ``evaluate_graph`` to a LinComb or a graph.
+
+        A paired graph stands for its labellings (``iota_expand``).  The
+        result's order is the least order of the evaluated graphs, its
+        degree that of the first term; no terms give the zero tensor of
+        degree (0, 0) and order ``self.order``.
+        """
+        terms = [(a, 1)] if isinstance(a, XGraph) else list(a.terms.items())
+        u, l = terms[0][0].degree if terms else (0, 0)
+        m = len(self.sigmas)
+        comps, orders = {}, []
+        for g, c in terms:
+            for h, k in iota_expand(g, m) if g.pairing else [(g, 1)]:
+                val = self.evaluate_graph(h)
+                orders.append(val.order)
+                for key, j in val.comps.items():
+                    j = (c * k) * j
+                    s = comps.get(key)
+                    comps[key] = j if s is None else s + j
+        return TensorJet(u, l, self.d, min(orders, default=self.order), comps)
 
 
 # -- differential geometry oracles ---------------------------------------------

@@ -74,25 +74,22 @@ def _tree_to_graph(tree):
     types = []
     wiring = {}
     noises = []
-
-    def build(node, target):
+    # Vertex ids in preorder: a node, then its native subtrees, then its
+    # forest; the stack holds (node, target slot) in reverse of that order.
+    stack = [(tree, ("u", 1))]
+    while stack:
+        node, target = stack.pop()
         vid = len(types)
+        wiring[(vid, 1)] = target
         if node[0] == "xi":
             types.append(NOISE)
             noises.append(vid)
-            forest = node[1]
+            subs = [(sub, (vid, 0)) for sub in node[1]]
         else:
             types.append(GAMMA)
-            forest = node[2]
-        wiring[(vid, 1)] = target
-        if node[0] == "ga":
-            for k, sub in enumerate(node[1], start=1):
-                build(sub, (vid, k))
-        for sub in forest:
-            build(sub, (vid, 0))
-        return vid
-
-    build(tree, ("u", 1))
+            subs = [(sub, (vid, k)) for k, sub in enumerate(node[1], start=1)]
+            subs += [(sub, (vid, 0)) for sub in node[2]]
+        stack.extend(reversed(subs))
     return XGraph(1, 0, types, wiring), noises
 
 
@@ -159,23 +156,26 @@ def pairing_orbit_count(s: XGraph) -> int:
     return count
 
 
-def iota_expand(s: XGraph, m: int) -> LinComb:
-    """Sum over all noise labellings in [m] constant on pairs of s."""
+def iota_expand(s: XGraph, m: int) -> list:
+    """The labellings of s by noise labels in [m], constant on its pairs.
+
+    A graph map: one ``(labelled graph, 1)`` pair per assignment of labels
+    to the pairs of s, m ** (number of pairs) in all, neither merged nor
+    canonicalised; ``LinComb(iota_expand(s, m))`` is their merged sum.
+    """
     if m < 1:
         raise ValueError("need at least one noise label")
     pairs = sorted(tuple(sorted(p)) for p in s.pairing)
     noise_ids = {v for v, t in enumerate(s.types) if t.name == NOISE.name}
     if {v for p in pairs for v in p} != noise_ids:
         raise PairingError("iota needs a perfect pairing of the noise vertices")
-
-    def labellings():
-        for labels in itertools.product(range(1, m + 1), repeat=len(pairs)):
-            types = list(s.types)
-            for (v, w), lab in zip(pairs, labels):
-                types[v] = types[w] = labeled_noise(lab)
-            yield XGraph(s.u, s.l, types, s.wiring), 1
-
-    return LinComb(labellings())
+    out = []
+    for labels in itertools.product(range(1, m + 1), repeat=len(pairs)):
+        types = list(s.types)
+        for (v, w), lab in zip(pairs, labels):
+            types[v] = types[w] = labeled_noise(lab)
+        out.append((XGraph(s.u, s.l, types, s.wiring), 1))
+    return out
 
 
 def forget_labels(a: LinComb, pair_by=None) -> LinComb:

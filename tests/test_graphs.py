@@ -115,6 +115,13 @@ def test_wiring_validation():
         XGraph(1, 0, (NOISE,), {(0, 1): ("u", 1)}, [(0, 0)])
 
 
+def test_repeated_pair_rejected():
+    wiring = {(0, 1): ("u", 1), (1, 1): (0, 0), (2, 1): (0, 0)}
+    with pytest.raises(PairingError) as exc:
+        XGraph(1, 0, (NOISE, NOISE, NOISE), wiring, pairing=[(1, 2), (2, 1)])
+    assert exc.value.pair == frozenset((1, 2))
+
+
 def test_gamma_slot_symmetry_cherry():
     # the two slot assignments of the symmetric generator are identified
     base = {(0, 1): ("u", 1), (1, 1): (0, 1), (2, 1): (0, 2)}

@@ -15,11 +15,12 @@ from gshe.jets import (InversionError, Jet, TensorJet, Valuation,
                        riemann, scalar_curvature_gradient, sphere_frame,
                        tensors_agree, vector_jet, zero_jet, _mat_mul,
                        format_jet, parse_jet)
-from gshe.graphs import ParseError
-from gshe.morphisms import tau_c, tau_star
-from gshe.randgraphs import random_graph, random_permutation
+from gshe.graphs import ParseError, XGraph
+from gshe.morphisms import M_ito, m_ito, tau_c, tau_star
+from gshe.randgraphs import random_graph, random_lincomb, random_permutation
 from gshe.subspaces import from_coords, intersect, s_geo, s_nice
-from gshe.symbols import GAMMA, labeled_noise
+from gshe.symbols import (GAMMA, GPAIR, full_basis, iota_expand,
+                          labeled_noise)
 
 
 def test_jet_arithmetic():
@@ -508,3 +509,80 @@ def test_parse_jet_reports_line_numbers(text, lineno):
     with pytest.raises(ParseError) as err:
         parse_jet(text)
     assert err.value.lineno == lineno
+
+
+def ref_valuation(val, a):
+    """The valuation as a merged loop: a paired term is first merged into
+    the canonical combination of its labellings, each canonical term is
+    evaluated once, and the values are added as tensor jets."""
+    if isinstance(a, XGraph):
+        a = LinComb.of(a)
+    out = None
+    for g, c in a.terms.items():
+        if g.pairing:
+            t = ref_valuation(val, LinComb(iota_expand(g, len(val.sigmas))))
+        else:
+            t = val.evaluate_graph(g)
+        t = c * t
+        out = t if out is None else out + t
+    if out is None:
+        degs = a.degrees()
+        u, l = next(iter(degs)) if degs else (0, 0)
+        return TensorJet(u, l, val.d, val.order, {})
+    return out
+
+
+def test_valuation_matches_merged_reference(rng):
+    def check(val, a):
+        got, want = val(a), ref_valuation(val, a)
+        assert got == want and tensors_agree(got, want)
+        assert (got.degree, got.order) == (want.degree, want.order)
+        assert {k: j.order for k, j in got.comps.items()} \
+            == {k: j.order for k, j in want.comps.items()}
+
+    basis = full_basis()
+    lgens = [labeled_noise(1), labeled_noise(2), GAMMA, GPAIR]
+    d, order = 2, 3
+    val = Valuation(random_gamma(rng, d, order),
+                    [random_vector_field(rng, d, order) for _ in range(2)])
+    # The sphere frame's sigmas carry one order more than its Gamma.
+    sigmas, gamma = sphere_frame((1, 0, 0), order=2)
+    sphere = Valuation(gamma, sigmas)
+    for v in (val, sphere):
+        check(v, LinComb())
+        for _ in range(4):
+            picks = rng.sample(basis, 3)
+            check(v, LinComb((s, Fraction(rng.randint(-3, 3) or 1,
+                                          rng.randint(1, 3))) for s in picks))
+        for s in rng.sample(basis, 4):
+            check(v, s)
+            assert v(s) == v(LinComb.of(s))
+    lone = XGraph(1, 0, (labeled_noise(2),), {(0, 1): ("u", 1)})
+    check(sphere, lone)
+    assert sphere(lone).order == sigmas[0].order > sphere.order
+    noises = [labeled_noise(1), labeled_noise(3)]
+    for deg in ((1, 0), (2, 0)):
+        check(sphere, random_lincomb(rng, noises, n_terms=3, degree=deg,
+                                     max_vertices=3, max_low=0))
+    for deg in ((1, 0), (1, 1), (2, 1)):
+        check(val, random_lincomb(rng, lgens, n_terms=3, degree=deg,
+                                  max_vertices=3, max_low=2))
+    for _ in range(6):
+        g = random_graph(rng, lgens, max_vertices=3, max_low=2)
+        check(val, g)
+        assert val(g) == val(LinComb.of(g))
+
+
+def test_two_output_vertices_evaluate(rng):
+    # A g vertex has two outputs, so a (1,0) graph holding one is no rooted
+    # tree; m_ito images are such graphs, and M_ito = phi_ito o m_ito with
+    # the g jet sum_i sigma_i sigma_i.
+    d, order = 2, 2
+    val = Valuation(random_gamma(rng, d, order),
+                    [random_vector_field(rng, d, order) for _ in range(2)])
+    g = XGraph(1, 0, (GAMMA, GPAIR),
+               {(0, 1): ("u", 1), (1, 1): (0, 1), (1, 2): (0, 2)})
+    assert val.evaluate_graph(g).degree == (1, 0)
+    for s in full_basis():
+        assert tensors_agree(val(m_ito(LinComb.of(s))),
+                             val(M_ito(LinComb.of(s)))), s

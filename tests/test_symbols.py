@@ -83,13 +83,13 @@ def test_iota_expand_counts():
                if sum(t.name == NOISE.name for t in s.types) == 2)
     four = next(s for s in basis
                 if sum(t.name == NOISE.name for t in s.types) == 4)
-    assert len(iota_expand(two, 1)) == 1
-    expanded = iota_expand(four, 2)
+    assert len(LinComb(iota_expand(two, 1))) == 1
+    expanded = LinComb(iota_expand(four, 2))
     total = sum(expanded.terms.values())
     assert total == 4  # 2^2 assignments before merging
     # forgetting labels and dividing by m^{n/2} returns the underlying tree
     bare = XGraph(four.u, four.l, four.types, four.wiring)
-    back = forget_labels(iota_expand(four, 3))
+    back = forget_labels(LinComb(iota_expand(four, 3)))
     assert back == 9 * LinComb.of(bare)
 
 
@@ -104,7 +104,7 @@ def test_parseval_bookkeeping():
     # orbit: the label-blind pairing reproduces N(tau,P) S(tau,P) = S(tau).
     for s in full_basis()[:6]:
         n = sum(1 for t in s.types if t.name == NOISE.name)
-        lab = iota_expand(s, 1)
+        lab = LinComb(iota_expand(s, 1))
         bare = XGraph(s.u, s.l, tuple(labeled_noise(1) if t.name == NOISE.name
                                       else t for t in s.types), s.wiring)
         # with one label, iota gives the unpaired labelled tree once
