@@ -283,13 +283,17 @@ def derive(a: LinComb) -> LinComb:
 def graft(a: LinComb, b: LinComb) -> LinComb:
     """a grafted onto b: tr(derive(b) . a) on degree-(1,0) elements.
 
-    Grafting onto the unit gives zero (its derivative vanishes), so degree
-    (0,0) is tolerated on the right.
+    One graph map over the terms of b: for each vertex v of a term g and
+    each term h of a, the root of h is wired into the star slot of v.
+    Grafting onto the unit gives zero (it has no vertex), so degree (0,0)
+    is tolerated on the right.
     """
     for x, allowed in ((a, {(1, 0)}), (b, {(1, 0), (0, 0)})):
         if x and x.degree() not in allowed:
             raise DegreeError(f"graft needs degree (1,0), got {x.degree()}")
-    return trace(product(derive(b), a))
+    return b.map_terms(
+        lambda g: [(trace_graph(product_graph(derive_vertex_graph(g, v), h)), c)
+                   for v in range(g.n_vertices) for h, c in a.terms.items()])
 
 
 def inner(a: LinComb, b: LinComb) -> Fraction:

@@ -14,8 +14,9 @@ import random
 from fractions import Fraction
 
 from .algebra import (LinComb, act, block_perm, coproduct, decompose, derive,
-                      derive_adjoint, graft, identity_perm, inner, product,
-                      rebuild, swap_perm, tensor_inner, trace, trace_adjoint)
+                      derive_adjoint, graft, identity_perm, inner, invert_perm,
+                      product, rebuild, swap_perm, tensor_inner, trace,
+                      trace_adjoint)
 from .graphs import XGraph
 from .morphisms import M_ito, lie_bracket, p_ito, phi_geo
 from .randgraphs import (random_graph, random_lincomb, random_permutation)
@@ -23,6 +24,33 @@ from .symbols import (GAMMA, NOISE, full_basis, pairing_orbit_count,
                       symmetry_factor, unpaired_symmetry_factor)
 
 GENS = [NOISE, GAMMA]
+
+
+class _Ledger:
+    """Case and failure counts per claim, kept in the order claims are named.
+
+    With a ``cap``, cases past the cap are not counted, so a suite can draw
+    until every claim is full (``open``) and skip draws a full claim no
+    longer needs (``need``).
+    """
+
+    def __init__(self, names, cap=None):
+        self.rows = {name: [0, 0] for name in names}
+        self.cap = cap
+
+    def need(self, name):
+        return self.cap is None or self.rows[name][0] < self.cap
+
+    def open(self):
+        return any(self.need(name) for name in self.rows)
+
+    def tally(self, name, ok):
+        if self.need(name):
+            self.rows[name][0] += 1
+            self.rows[name][1] += 0 if ok else 1
+
+    def result(self):
+        return [(name, c, f) for name, (c, f) in self.rows.items()]
 
 
 def _brute_aut(g: XGraph) -> int:
@@ -52,25 +80,18 @@ def _brute_aut(g: XGraph) -> int:
 
 def suite_talgebra(seed=0, cases=500):
     rng = random.Random(seed)
-    rows = {name: [0, 0] for name in
-            ("multperm_swap", "multperm_concat", "assoc_unit", "trperm",
-             "trcomm", "trtensor", "d2_first", "d2_symmetric", "leibniz",
-             "dtr", "prelie_formula", "prelie_symmetry", "canonical_idem",
-             "aut_bruteforce")}
-
-    def tally(name, ok):
-        if rows[name][0] < cases:
-            rows[name][0] += 1
-            rows[name][1] += 0 if ok else 1
-
-    def need(name):
-        return rows[name][0] < cases
+    ledger = _Ledger(("multperm_swap", "multperm_concat", "assoc_unit",
+                      "trperm", "trcomm", "trtensor", "d2_first",
+                      "d2_symmetric", "leibniz", "dtr", "prelie_formula",
+                      "prelie_symmetry", "canonical_idem", "aut_bruteforce"),
+                     cap=cases)
+    tally, need = ledger.tally, ledger.need
 
     from .algebra import unit
 
     one = unit()
     guard = 0
-    while any(rows[n][0] < cases for n in rows) and guard < 60 * cases:
+    while ledger.open() and guard < 60 * cases:
         guard += 1
         want_traced = need("trcomm") or need("trperm") or need("dtr")
         a = random_graph(rng, GENS, max_vertices=3,
@@ -128,52 +149,45 @@ def suite_talgebra(seed=0, cases=500):
             rhs = trace(trace(product(product(d2c, A), B)))
             tally("prelie_formula", assoc_ab == rhs)
             tally("prelie_symmetry", assoc_ab == assoc_ba)
-    return [(name, c, f) for name, (c, f) in rows.items()]
+    return ledger.result()
 
 
 def suite_adjoint(seed=0, cases=500):
     rng = random.Random(seed)
-    rows = {name: [0, 0] for name in
-            ("trace_pair", "derive_pair", "product_pair", "act_pair")}
+    ledger = _Ledger(("trace_pair", "derive_pair", "product_pair",
+                      "act_pair"), cap=cases)
+    tally, need = ledger.tally, ledger.need
 
-    def tally(name, ok):
-        rows[name][0] += 1
-        rows[name][1] += 0 if ok else 1
-
-    while min(c for c, _ in rows.values()) < cases:
+    while ledger.open():
         a = random_graph(rng, GENS, max_vertices=3)
         b = random_graph(rng, GENS, max_vertices=3)
         A, B = LinComb.of(a), LinComb.of(b)
-        if rows["act_pair"][0] < cases and a.degree == b.degree:
+        if need("act_pair") and a.degree == b.degree:
             al = (random_permutation(rng, a.u), random_permutation(rng, a.l))
-            inv = (tuple(al[0].index(i + 1) + 1 for i in range(a.u)),
-                   tuple(al[1].index(i + 1) + 1 for i in range(a.l)))
+            inv = (invert_perm(al[0]), invert_perm(al[1]))
             tally("act_pair", inner(act(al, A), B) == inner(A, act(inv, B)))
-        if rows["trace_pair"][0] < cases and a.u == b.u + 1 and a.l == b.l + 1:
+        if need("trace_pair") and a.u == b.u + 1 and a.l == b.l + 1:
             tally("trace_pair",
                   inner(trace(A), B) == inner(A, trace_adjoint(B)))
-        if rows["derive_pair"][0] < cases and a.u == b.u and a.l + 1 == b.l:
+        if need("derive_pair") and a.u == b.u and a.l + 1 == b.l:
             tally("derive_pair",
                   inner(derive(A), B) == inner(A, derive_adjoint(B)))
-        if rows["product_pair"][0] < cases:
+        if need("product_pair"):
             h = random_graph(rng, GENS, max_vertices=4)
             if (a.u + b.u, a.l + b.l) == h.degree:
                 H = LinComb.of(h)
                 tally("product_pair", inner(product(A, B), H)
                       == tensor_inner(coproduct(H), A, B))
-    return [(name, c, f) for name, (c, f) in rows.items()]
+    return ledger.result()
 
 
 def suite_identities(seed=0, cases=500):
     rng = random.Random(seed)
-    rows = {name: [0, 0] for name in
-            ("decompose_roundtrip", "phi_geo_leibniz", "phi_geo_commutes",
-             "p_ito_idempotent", "p_ito_self_adjoint", "m_ito_average",
-             "jacobi", "orbit_stabiliser")}
-
-    def tally(name, ok):
-        rows[name][0] += 1
-        rows[name][1] += 0 if ok else 1
+    ledger = _Ledger(("decompose_roundtrip", "phi_geo_leibniz",
+                      "phi_geo_commutes", "p_ito_idempotent",
+                      "p_ito_self_adjoint", "m_ito_average", "jacobi",
+                      "orbit_stabiliser"))
+    tally = ledger.tally
 
     basis = full_basis()
     for s in basis:
@@ -218,7 +232,7 @@ def suite_identities(seed=0, cases=500):
                + lie_bracket(B, lie_bracket(C, A))
                + lie_bracket(C, lie_bracket(A, B)))
         tally("jacobi", not jac)
-    return [(name, c, f) for name, (c, f) in rows.items()]
+    return ledger.result()
 
 
 def suite_jets(seed=0, cases=40):
@@ -230,12 +244,8 @@ def suite_jets(seed=0, cases=40):
 
     rng = random.Random(seed)
     d, order = 2, 4
-    rows = {name: [0, 0] for name in
-            ("tensor_axioms", "upsilon_morphism", "matrix_inverse")}
-
-    def tally(name, ok):
-        rows[name][0] += 1
-        rows[name][1] += 0 if ok else 1
+    ledger = _Ledger(("tensor_axioms", "upsilon_morphism", "matrix_inverse"))
+    tally = ledger.tally
 
     def rand_tensor(u, l):
         return TensorJet(u, l, d, order,
@@ -280,7 +290,7 @@ def suite_jets(seed=0, cases=40):
         ok = all(prod[i][j] == Jet.constant(d, order, 1 if i == j else 0)
                  for i in range(d) for j in range(d))
         tally("matrix_inverse", ok)
-    return [(name, c, f) for name, (c, f) in rows.items()]
+    return ledger.result()
 
 
 SUITES = {

@@ -164,6 +164,14 @@ def _norm_src(s):
     return (-1, s[1]) if s[0] == "l" else s
 
 
+# The largest graph ``XGraph`` accepts, which bounds canonicalisation time.
+# The slowest canonicalisations are colour classes with few automorphisms: a
+# directed cycle of n noises searches (n-1)! orderings, 0.8 s at n = 9 and
+# 10 s at n = 10 (two 5-cycles 3 s), measured on a 2-vCPU x86-64 host under
+# CPython 3.11.
+MAX_VERTICES = 10
+
+
 class XGraph:
     """Immutable decorated graph; hashes and compares by canonical form."""
 
@@ -174,6 +182,8 @@ class XGraph:
     def __init__(self, u, l, types, wiring, pairing=()):
         wiring = dict(wiring)
         types = tuple(types)
+        if len(types) > MAX_VERTICES:
+            raise ValueError(f"{len(types)} vertices, more than {MAX_VERTICES}")
         _check_wiring(u, l, types, wiring)
         pset = set()
         seen = set()
@@ -504,13 +514,6 @@ def _parse_dst(tok, lineno):
     if tok.count(".in:") == 1:
         return tuple(_ints(tok.split(".in:"), lineno, "edge target"))
     raise ParseError(lineno, f"bad edge target {tok!r}")
-
-
-# The largest graph ``parse_graph`` accepts.  The slowest canonicalisations
-# are colour classes with few automorphisms: a directed cycle of n noises
-# searches (n-1)! orderings, 0.8 s at n = 9 and 10 s at n = 10 (two 5-cycles
-# 3 s), measured on a 2-vCPU x86-64 host under CPython 3.11.
-MAX_VERTICES = 10
 
 
 def parse_graph(text, generators, offset=0):

@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from .algebra import decompose, invert_perm
 from .graphs import DegreeError, ParseError, XGraph
 from .subspaces import rref
 from .symbols import GAMMA, GPAIR, NOISE, iota_expand
@@ -351,17 +352,12 @@ class TensorJet:
         pu, pl = alpha
         if len(pu) != self.u or len(pl) != self.l:
             raise DegreeError("permutation degree mismatch")
-        ipu = [0] * self.u
-        for i, x in enumerate(pu):
-            ipu[x - 1] = i
-        ipl = [0] * self.l
-        for i, x in enumerate(pl):
-            ipl[x - 1] = i
+        ipu, ipl = invert_perm(pu), invert_perm(pl)
         out = {}
         for k, j in self.comps.items():
             lows, ups = k[:self.l], k[self.l:]
-            nk = (tuple(lows[ipl[i]] for i in range(self.l))
-                  + tuple(ups[ipu[i]] for i in range(self.u)))
+            nk = (tuple(lows[i - 1] for i in ipl)
+                  + tuple(ups[i - 1] for i in ipu))
             _accumulate(out, nk, j, self.order)
         return TensorJet(self.u, self.l, self.d, self.order, out)
 
@@ -472,12 +468,11 @@ def parse_jet(text: str) -> Jet:
     return Jet(d, order, coeffs)
 
 
-def tensors_agree(t1: TensorJet, t2: TensorJet, order=None) -> bool:
+def tensors_agree(t1: TensorJet, t2: TensorJet) -> bool:
     """Componentwise equality up to the common valid truncation order."""
     if t1.degree != t2.degree or t1.d != t2.d:
         return False
-    if order is None:
-        order = min(t1.order, t2.order)
+    order = min(t1.order, t2.order)
     keys = set(t1.comps) | set(t2.comps)
     return all(t1.comp(k).truncate(order) == t2.comp(k).truncate(order)
                for k in keys)
@@ -497,8 +492,8 @@ class Valuation:
     def __init__(self, gamma: TensorJet, sigmas):
         self.gamma = gamma
         self.sigmas = list(sigmas)
-        self.d = gamma.d if gamma is not None else self.sigmas[0].d
-        self.order = gamma.order if gamma is not None else self.sigmas[0].order
+        self.d = gamma.d
+        self.order = gamma.order
         self._generators = {}
 
     def generator_tensor(self, name, k=0):
@@ -555,8 +550,6 @@ class Valuation:
         return tens
 
     def _evaluate_decompose(self, g: XGraph) -> TensorJet:
-        from .algebra import decompose
-
         m, alpha, parts = decompose(g)
         prod = TensorJet(0, 0, self.d, self.order,
                          {(): Jet.constant(self.d, self.order, 1)})
@@ -592,26 +585,25 @@ class Valuation:
 
 # -- differential geometry oracles ---------------------------------------------
 
-def random_jet(rng, d, order, spread=2):
+def random_jet(rng, d, order):
     coeffs = {}
     for idx in _multi_indices(d, order):
-        coeffs[idx] = Fraction(rng.randint(-spread, spread),
-                               rng.randint(1, spread))
+        coeffs[idx] = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
     return Jet(d, order, coeffs)
 
 
-def random_vector_field(rng, d, order, spread=2):
-    return vector_jet(d, order, [random_jet(rng, d, order, spread)
+def random_vector_field(rng, d, order):
+    return vector_jet(d, order, [random_jet(rng, d, order)
                                  for _ in range(d)])
 
 
-def random_gamma(rng, d, order, spread=2):
+def random_gamma(rng, d, order):
     """A (1,2) tensor jet symmetric in its two lower slots."""
     comps = {}
     for b in range(d):
         for c in range(b, d):
             for a in range(d):
-                j = random_jet(rng, d, order, spread)
+                j = random_jet(rng, d, order)
                 comps[(b, c, a)] = j
                 comps[(c, b, a)] = j
     return TensorJet(1, 2, d, order, comps)

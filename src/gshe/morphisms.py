@@ -16,13 +16,13 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import (LinComb, generator, graft, product,
-                      substitute_vertex, trace)
+from .algebra import (LinComb, generator, generator_graph, graft,
+                      product_graph, substitute_vertex, trace_graph)
 from .graphs import DegreeError, PairingError, XGraph
 from .symbols import DIFF, GAMMA, GPAIR, NOISE, forget_labels, labeled_noise
 
 
-def in_symbol_span(a: LinComb, allow_h=True) -> bool:
+def in_symbol_span(a: LinComb) -> bool:
     """Membership test for the span of symbols and their h-decorations.
 
     Every term must have degree (1,0), at most one h vertex, a perfect noise
@@ -32,7 +32,7 @@ def in_symbol_span(a: LinComb, allow_h=True) -> bool:
         if g.degree != (1, 0):
             return False
         h_count = sum(1 for t in g.types if t.name == DIFF.name)
-        if h_count > (1 if allow_h else 0):
+        if h_count > 1:
             return False
         noises = {v for v, t in enumerate(g.types) if t.name == NOISE.name}
         if {v for p in g.pairing for v in p} != noises:
@@ -47,8 +47,12 @@ def nabla(a: LinComb, b: LinComb) -> LinComb:
     for x in (a, b):
         if x and x.degree() != (1, 0):
             raise DegreeError(f"nabla needs degree (1,0), got {x.degree()}")
-    christoffel = trace(trace(product(product(generator(GAMMA), a), b)))
-    return graft(a, b) + Fraction(1, 2) * christoffel
+    gamma = generator_graph(GAMMA)
+    christoffel = LinComb(
+        (trace_graph(trace_graph(product_graph(product_graph(gamma, g), h))),
+         c * d / 2)
+        for g, c in a.terms.items() for h, d in b.terms.items())
+    return graft(a, b) + christoffel
 
 
 def lie_bracket(a: LinComb, b: LinComb) -> LinComb:
@@ -111,9 +115,7 @@ def tau_c() -> LinComb:
 @lru_cache(maxsize=None)
 def _image_noise() -> LinComb:
     """[Xi, h] = Xi grafted on h minus h grafted on Xi."""
-    t1 = XGraph(1, 0, (NOISE, DIFF), {(0, 1): (1, 0), (1, 1): ("u", 1)})
-    t2 = XGraph(1, 0, (NOISE, DIFF), {(1, 1): (0, 0), (0, 1): ("u", 1)})
-    return LinComb.of(t1) - LinComb.of(t2)
+    return lie_bracket(generator(NOISE), generator(DIFF))
 
 
 @lru_cache(maxsize=None)

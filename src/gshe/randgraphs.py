@@ -5,14 +5,16 @@ from __future__ import annotations
 import random
 
 from .graphs import XGraph
+from .symbols import NOISE
 
 
 def random_graph(rng: random.Random, gens, max_vertices=4, max_low=2,
-                 pair_noises=False, noise_name="Xi", min_u=0, min_low=0):
+                 pair_noises=False, min_u=0, min_low=0):
     """A uniform-ish random valid graph over the given generator list.
 
-    Retries until the slot balance admits a wiring.  Not a uniform sampler;
-    good enough to exercise the axioms.
+    Retries until the slot balance admits a wiring, and with
+    ``pair_noises`` until the plain noise vertices can be paired.  Not a
+    uniform sampler; good enough to exercise the axioms.
     """
     for _ in range(400):
         n = rng.randint(1, max_vertices)
@@ -41,7 +43,7 @@ def random_graph(rng: random.Random, gens, max_vertices=4, max_low=2,
             wiring[s] = (rng.randrange(n), 0)
         pairing = []
         if pair_noises:
-            noise_vs = [v for v, t in enumerate(types) if t.name == noise_name]
+            noise_vs = [v for v, t in enumerate(types) if t.name == NOISE.name]
             if len(noise_vs) % 2:
                 continue
             rng.shuffle(noise_vs)

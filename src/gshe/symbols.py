@@ -6,6 +6,11 @@ inputs): every vertex's output is used exactly once, the root output feeds
 ``up:1``, every Christoffel vertex has both native slots filled, and the
 noise vertices carry a perfect pairing.  With two noises there are 2 classes,
 with four there are 52, for a total basis of 54.
+
+The trees are generated by the algebra's own covariant derivative: the trees
+with n noises are the terms of ``nabla`` applied to the trees with k and
+n - k noises, over all splits k, so a tree has one representation, its
+canonical graph.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .algebra import LinComb
+from .algebra import LinComb, generator
 from .graphs import GeneratorType, PairingError, XGraph
 
 NOISE = GeneratorType("Xi", 0, 1)
@@ -31,66 +36,28 @@ def labeled_noise(i):
 
 
 # -- tree enumeration --------------------------------------------------------
-#
-# Tree structures are nested tuples: ('xi', forest) or ('ga', (t1, t2), forest)
-# where forest is a sorted tuple of subtrees and (t1, t2) is sorted.
 
 @lru_cache(maxsize=None)
-def _forests(a, b):
-    if a == 0 and b == 0:
-        return (tuple(),)
-    out = set()
-    for ta in range(a + 1):
-        for tb in range(b + 1):
-            if ta == 0 and tb == 0:
-                continue
-            for t in _trees(ta, tb):
-                for rest in _forests(a - ta, b - tb):
-                    out.add(tuple(sorted((t,) + rest, key=repr)))
-    return tuple(sorted(out, key=repr))
+def _trees(n):
+    """Every tree with n noises, each with coefficient 1.
 
+    A single noise for n = 1; for n > 1 the terms of
+    ``sum_k nabla(_trees(k), _trees(n - k))`` over k = 1..n-1.  This is
+    every tree: one whose root has a star child is a term of the graft of
+    that child's subtree onto the rest, one with a Christoffel root and no
+    star child is the Christoffel term of its two native subtrees, and a
+    single noise is the only other tree.  No term cancels: with all inputs
+    at coefficient 1, graft terms get coefficients c * d and Christoffel
+    terms c * d / 2, all positive.
+    """
+    if n == 1:
+        return generator(NOISE)
+    from .morphisms import nabla
 
-@lru_cache(maxsize=None)
-def _trees(a, b):
-    out = set()
-    if a >= 1:
-        for forest in _forests(a - 1, b):
-            out.add(("xi", forest))
-    if b >= 1:
-        for a1 in range(a + 1):
-            for b1 in range(b):
-                for t1 in _trees(a1, b1):
-                    for a2 in range(a - a1 + 1):
-                        for b2 in range(b - b1):
-                            for t2 in _trees(a2, b2):
-                                for forest in _forests(a - a1 - a2, b - 1 - b1 - b2):
-                                    thick = tuple(sorted((t1, t2), key=repr))
-                                    out.add(("ga", thick, forest))
-    return tuple(sorted(out, key=repr))
-
-
-def _tree_to_graph(tree):
-    """Build the (1,0) graph of a tree structure; returns (graph, noise ids)."""
-    types = []
-    wiring = {}
-    noises = []
-    # Vertex ids in preorder: a node, then its native subtrees, then its
-    # forest; the stack holds (node, target slot) in reverse of that order.
-    stack = [(tree, ("u", 1))]
-    while stack:
-        node, target = stack.pop()
-        vid = len(types)
-        wiring[(vid, 1)] = target
-        if node[0] == "xi":
-            types.append(NOISE)
-            noises.append(vid)
-            subs = [(sub, (vid, 0)) for sub in node[1]]
-        else:
-            types.append(GAMMA)
-            subs = [(sub, (vid, k)) for k, sub in enumerate(node[1], start=1)]
-            subs += [(sub, (vid, 0)) for sub in node[2]]
-        stack.extend(reversed(subs))
-    return XGraph(1, 0, types, wiring), noises
+    terms = {}
+    for k in range(1, n):
+        terms.update(dict.fromkeys(nabla(_trees(k), _trees(n - k)).terms, 1))
+    return LinComb(terms)
 
 
 def _pairings(items):
@@ -105,13 +72,7 @@ def _pairings(items):
 
 def tree_shapes(n):
     """Canonical unpaired trees with n noises (single noise type)."""
-    seen = {}
-    for b in range(n):
-        for tree in _trees(n, b):
-            g, _ = _tree_to_graph(tree)
-            c, _ = g.canonicalize()
-            seen[c.canonical_key()] = c
-    return [seen[k] for k in sorted(seen)]
+    return sorted(_trees(n).terms, key=XGraph.canonical_key)
 
 
 def enumerate_basis(n):
@@ -119,13 +80,12 @@ def enumerate_basis(n):
     if n not in (2, 4):
         raise ValueError(f"paired symbols need n in {{2, 4}}, got {n}")
     seen = {}
-    for b in range(n):
-        for tree in _trees(n, b):
-            g, noises = _tree_to_graph(tree)
-            for pairing in _pairings(tuple(noises)):
-                pg = XGraph(g.u, g.l, g.types, g.wiring, pairing)
-                c, _ = pg.canonicalize()
-                seen[c.canonical_key()] = c
+    for g in _trees(n).terms:
+        noises = [v for v, t in enumerate(g.types) if t.name == NOISE.name]
+        for pairing in _pairings(tuple(noises)):
+            pg = XGraph(g.u, g.l, g.types, g.wiring, pairing)
+            c, _ = pg.canonicalize()
+            seen[c.canonical_key()] = c
     return [seen[k] for k in sorted(seen)]
 
 

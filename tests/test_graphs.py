@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gshe.algebra import act_graph, parse_lincomb
+from gshe.algebra import act_graph, parse_lincomb, product_graph
 from gshe.checks import _brute_aut
-from gshe.graphs import (GeneratorType, ParseError, PairingError,
-                         StructureError, XGraph, empty_graph, format_graph,
-                         parse_graph)
+from gshe.graphs import (MAX_VERTICES, GeneratorType, ParseError,
+                         PairingError, StructureError, XGraph, empty_graph,
+                         format_graph, parse_graph)
 from gshe.randgraphs import random_graph
 from gshe.symbols import DIFF, GAMMA, GENERATORS, GPAIR, NOISE
 
@@ -113,6 +113,20 @@ def test_wiring_validation():
         XGraph(1, 0, (GAMMA,), {(0, 1): ("u", 1)})  # natives unfilled
     with pytest.raises(PairingError):
         XGraph(1, 0, (NOISE,), {(0, 1): ("u", 1)}, [(0, 0)])
+
+
+def test_vertex_limit_binds_graphs_built_in_code():
+    def chain(n):
+        # each noise feeds the star slot of the one before it
+        wiring = {(v, 1): (v - 1, 0) for v in range(1, n)}
+        wiring[(0, 1)] = ("u", 1)
+        return XGraph(1, 0, (NOISE,) * n, wiring)
+
+    assert chain(MAX_VERTICES).n_vertices == MAX_VERTICES
+    with pytest.raises(ValueError, match="11 vertices"):
+        chain(MAX_VERTICES + 1)
+    with pytest.raises(ValueError, match="12 vertices"):
+        product_graph(chain(6), chain(6))
 
 
 def test_repeated_pair_rejected():

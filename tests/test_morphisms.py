@@ -5,17 +5,43 @@ from fractions import Fraction
 import pytest
 
 from gshe.algebra import (LinComb, derive, generator, graft, inner,
-                          parse_lincomb, product, trace)
+                          parse_lincomb, product, trace, unit)
 from gshe.graphs import XGraph
 from gshe.morphisms import (M_ito, curvature, expand_word, lie_bracket,
                             m_ito, nabla, p_acyc, p_ito, phi_geo,
                             phi_hat_geo, phi_ito, tau_c, tau_star)
-from gshe.randgraphs import random_graph
+from gshe.randgraphs import random_graph, random_lincomb
 from gshe.symbols import (DIFF, GAMMA, GENERATORS, NOISE, basis_index,
                           covariant_symbols, covariant_words, full_basis,
                           labeled_noise)
 
 GENS = [NOISE, GAMMA]
+
+
+def ref_graft(a, b):
+    return trace(product(derive(b), a))
+
+
+def ref_nabla(a, b):
+    christoffel = trace(trace(product(product(generator(GAMMA), a), b)))
+    return ref_graft(a, b) + Fraction(1, 2) * christoffel
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_fused_graft_and_nabla_match_reference(rng, paired):
+    # graft and the Christoffel term are single graph maps; the unfused
+    # compositions of derive, product and trace are the reference
+    zero = LinComb()
+    for _ in range(15):
+        a, b = (random_lincomb(rng, GENS, n_terms=rng.randint(1, 3),
+                               degree=(1, 0), max_vertices=3,
+                               pair_noises=paired) for _ in range(2))
+        assert graft(a, b) == ref_graft(a, b)
+        assert nabla(a, b) == ref_nabla(a, b)
+        assert graft(a, unit()) == ref_graft(a, unit()) == zero
+        for x, y in ((a, zero), (zero, b), (zero, zero)):
+            assert graft(x, y) == ref_graft(x, y) == zero
+            assert nabla(x, y) == ref_nabla(x, y) == zero
 
 
 def test_nabla_flat_projection(rng):
