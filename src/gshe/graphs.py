@@ -24,6 +24,12 @@ one is not searched again: it takes the explored subtree's minimum and hit
 count.  Twins (the star leaves of one vertex), paired stars, cycles and
 swapped components are all pruned this way (McKay & Piperno, "Practical graph
 isomorphism, II", J. Symb. Comput. 60, 2014).
+
+The search's result is a function of the raw structure alone (degree,
+vertex types, wiring, pairing), so a bounded module memo maps that structure
+to the minimal leaf's ordering and its hit count; a graph whose structure
+was canonicalised before skips refinement and search and only re-encodes
+that one ordering.  See ``_MEMO`` for the key, the value and the bound.
 """
 
 from __future__ import annotations
@@ -80,6 +86,9 @@ def _perm_closure(perms, n):
     return frozenset(group)
 
 
+_TYPE_UIDS = itertools.count()
+
+
 @dataclass(frozen=True)
 class GeneratorType:
     """A generator with native input/output slots and optional slot symmetry.
@@ -106,6 +115,13 @@ class GeneratorType:
                            tuple(min(p[j] for p in ins) for j in range(self.in_arity)))
         object.__setattr__(self, "_out_orb",
                            tuple(min(p[j] for p in outs) for j in range(self.out_arity)))
+        # Tells this type apart from every other one in ``XGraph._memo_key``.
+        object.__setattr__(self, "_uid", next(_TYPE_UIDS))
+
+    def __reduce__(self):
+        # A copy, in this process or another, is built anew with its own id.
+        return GeneratorType, (self.name, self.in_arity, self.out_arity,
+                               self.in_sym, self.out_sym)
 
     @property
     def slot_group(self):
@@ -170,6 +186,22 @@ def _norm_src(s):
 # 10 s at n = 10 (two 5-cycles 3 s), measured on a 2-vCPU x86-64 host under
 # CPython 3.11.
 MAX_VERTICES = 10
+
+# Canonicalisation memo: ``XGraph._memo_key()`` -> (the minimal leaf's
+# vertex ordering as bytes, automorphism count).  The key spells out the
+# degree, a per-object id of each vertex type, the pairs and the wiring items
+# in dict order, so equal keys mean equal raw structures; the same structure
+# wired in another insertion order only misses.  It is exact because the
+# minimal encoding, the ordering the search keeps and the hit count depend on
+# the raw structure alone.  The value is an ordering rather than the
+# canonical graph: the graph is rebuilt by re-encoding that ordering under
+# every slot choice, so an entry holds a key of some 40 bytes, the ordering
+# and the count (about 240 bytes in all, with the dict's share) and no graph,
+# and a hit takes its types from the graph at hand.  When full, the memo is
+# cleared; at 1 << 14 entries it holds about 4 MB, and `gshe check --suite
+# talgebra` at 500 cases, the largest user of it, fills about 12,000.
+_MEMO = {}
+_MEMO_CAP = 1 << 14
 
 
 class XGraph:
@@ -339,24 +371,36 @@ class XGraph:
         group.  ``_search`` walks the orderings as a tree of prefixes and
         skips every subtree that a found automorphism maps onto one it has
         already explored, taking that subtree's (minimum, hits) instead.
+        A raw structure found in ``_MEMO`` skips refinement and search: its
+        stored ordering, under every slot choice, gives the minimum.
         """
         if self._canon is not None:
             g, hits, _ = self._canon
             return (self if g is None else g), hits
-        by_color = {}
-        for v, c in enumerate(self._wl_colors()):
-            by_color.setdefault(c, []).append(v)
-        classes = [by_color[c] for c in sorted(by_color) for _ in by_color[c]]
         groups = [t.slot_group for t in self.types]
-        state = [None, None, []]
-        best, hits = _search(self, classes, groups, [], state)
+        memo_key = self._memo_key()
+        known = _MEMO.get(memo_key)
+        if known is None:
+            by_color = {}
+            for v, c in enumerate(self._wl_colors()):
+                by_color.setdefault(c, []).append(v)
+            classes = [by_color[c] for c in sorted(by_color) for _ in by_color[c]]
+            state = [None, None, []]
+            best, hits = _search(self, classes, groups, [], state)
+            order = bytes(state[1])
+            if len(_MEMO) >= _MEMO_CAP:
+                _MEMO.clear()
+            _MEMO[memo_key] = order, hits
+        else:
+            order, hits = known
+            best = min(self._encode(order, ch) for ch in itertools.product(*groups))
         _, entries, pairs = best
         # A relabelling of this validated graph: skip __init__'s checks.
         g = XGraph.__new__(XGraph)
         g.u, g.l = self.u, self.l
         g.wiring = {(("l", s[1]) if s[0] == -1 else s):
                     (("u", d[1]) if d[0] == -1 else d) for s, d in entries}
-        g.types = tuple(self.types[v] for v in state[1])
+        g.types = tuple(self.types[v] for v in order)
         g.pairing = frozenset(map(frozenset, pairs))
         key = (self.u, self.l, best)
         # None, not g itself: a self-reference would leave every dropped
@@ -364,6 +408,27 @@ class XGraph:
         g._canon = (None, hits, key)
         self._canon = (g, hits, key)
         return g, hits
+
+    def _memo_key(self):
+        """The raw structure as one ``_MEMO`` key.
+
+        The integers u, l, the vertex and pair counts, each type's id, the
+        pairs {a < b} as sorted codes a n + b (n vertices), and each wiring
+        item as (source, its slot, target, its slot), where 0 names the
+        external side and v + 1 vertex v.  The counts fix where each part
+        ends, so distinct structures give distinct sequences; ``bytes``
+        holds them when all are below 256, a tuple otherwise.
+        """
+        n = len(self.types)
+        key = [self.u, self.l, n, len(self.pairing)]
+        key += [t._uid for t in self.types]
+        key += sorted(min(p) * n + max(p) for p in self.pairing)
+        for (a, j), (b, k) in self.wiring.items():
+            key += (0 if a == "l" else a + 1, j, 0 if b == "u" else b + 1, k)
+        try:
+            return bytes(key)
+        except ValueError:
+            return tuple(key)
 
     def canonical_key(self):
         if self._canon is None:

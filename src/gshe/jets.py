@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .algebra import decompose, invert_perm
-from .graphs import DegreeError, ParseError, XGraph
+from .graphs import DegreeError, XGraph
 from .subspaces import rref
 from .symbols import GAMMA, GPAIR, NOISE, iota_expand
 
@@ -428,44 +428,6 @@ def format_jet(j: Jet) -> str:
     for idx in sorted(coeffs):
         lines.append(f"({','.join(str(k) for k in idx)}) = {coeffs[idx]}")
     return "\n".join(lines)
-
-
-def parse_jet(text: str) -> Jet:
-    """Inverse of ``format_jet``; errors carry the 1-based line number."""
-    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1)
-             if ln.strip()]
-    if not lines:
-        raise ParseError(1, "missing 'jet d=<d> order=<order>' header")
-    lineno, head = lines[0]
-    try:
-        word, *pairs = head.split()
-        kv = dict(p.split("=") for p in pairs)
-        if word != "jet" or set(kv) != {"d", "order"}:
-            raise ValueError
-        d, order = int(kv["d"]), int(kv["order"])
-        if d < 1:
-            raise ValueError
-    except ValueError:
-        raise ParseError(lineno,
-                         "expected 'jet d=<d> order=<order>' header") from None
-    coeffs = {}
-    for lineno, ln in lines[1:]:
-        left, eq, right = ln.partition("=")
-        if not eq:
-            raise ParseError(lineno, "expected '(<index>,...) = <rational>'")
-        left, right = left.strip(), right.strip()
-        try:
-            idx = tuple(int(x) for x in left.strip("()").split(","))
-        except ValueError:
-            raise ParseError(lineno, f"bad multi-index {left!r}") from None
-        if len(idx) != d or any(x < 0 for x in idx):
-            raise ParseError(lineno, f"multi-index {left} is not "
-                                     f"{d} nonnegative integers")
-        try:
-            coeffs[idx] = Fraction(right)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(lineno, f"bad rational {right!r}") from None
-    return Jet(d, order, coeffs)
 
 
 def tensors_agree(t1: TensorJet, t2: TensorJet) -> bool:

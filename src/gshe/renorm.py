@@ -67,13 +67,6 @@ class Mollifier:
         return np.where(inside, val * self.normalization
                         / (self.t_support * self.x_support), 0.0)
 
-    def check_normalized(self, n=400):
-        ts = (np.arange(n) + 0.5) / n * self.t_support
-        xs = (np.arange(2 * n) + 0.5) / n * self.x_support - self.x_support
-        tt, xx = np.meshgrid(ts, xs, indexing="ij")
-        total = self(tt, xx).sum() * (self.t_support / n) * (self.x_support / n)
-        return total
-
     def time_profile_nodes(self, eps, n=32):
         """Nodes s and weights w q_eps(s) for the parabolic time profile.
 
@@ -153,12 +146,6 @@ def p3_identity(t: float, nodes=400):
     ws = xw * scale
     val = float((heat_kernel(t, xs) ** 3) @ ws)
     return val * 4.0 * SQRT3 * math.pi * t
-
-
-def heat_kernel_mass(t: float, nodes=400):
-    xi, xw = np.polynomial.legendre.leggauss(nodes)
-    scale = 12.0 * math.sqrt(t)
-    return float(heat_kernel(t, xi * scale) @ (xw * scale))
 
 
 def _smooth_cutoff(r):
@@ -420,22 +407,6 @@ def heat_decay_error(cfg: SimConfig, n_steps=200):
         v = _implicit_step(v, gain)
     spectral = np.real(np.fft.ifft(u0_hat / denom ** n_steps))
     return float(np.max(np.abs(v - spectral)))
-
-
-def exact_heat_comparison(cfg: SimConfig, t_final=0.25):
-    """Max error of the scheme against exp(-lambda_k t) mode decay.
-
-    Uses the implicit-Euler amplification per mode; the comparison measures
-    the time-discretisation error of the scheme at the final time.
-    """
-    N = cfg.n_grid
-    x = 2.0 * math.pi * np.arange(N) / N
-    u0 = np.sin(x) + 0.3 * np.cos(3 * x)
-    lam = periodic_laplacian(N)[1]
-    n_steps = int(round(t_final / cfg.dt))
-    u_hat = np.fft.fft(u0) / (1.0 + cfg.dt * lam) ** n_steps
-    exact_hat = np.fft.fft(u0) * np.exp(-lam * cfg.dt * n_steps)
-    return float(np.max(np.abs(np.real(np.fft.ifft(u_hat - exact_hat)))))
 
 
 # -- sphere-valued solver --------------------------------------------------------

