@@ -216,6 +216,8 @@ class XGraph:
         types = tuple(types)
         if len(types) > MAX_VERTICES:
             raise ValueError(f"{len(types)} vertices, more than {MAX_VERTICES}")
+        if u < 0 or l < 0:
+            raise StructureError(f"negative degree u={u} l={l}")
         _check_wiring(u, l, types, wiring)
         pset = set()
         seen = set()

@@ -8,11 +8,14 @@ additive stochastic heat equation on the circle checked against its exact
 per-mode variance, and the sphere-valued equation driven by the closest-point
 projection frame.
 
-Both circle solvers take the same implicit Euler heat step on real FFTs:
-their fields are real, so the step multiplies the rfft coefficients
-k = 0..N//2 by 1 / (1 + dt lambda_k) and transforms back with irfft at
-length N.  Only the sphere solver's noise smoothing still runs on complex
-transforms.
+Both circle solvers take implicit Euler heat steps on real FFTs: their
+fields are real, so a step multiplies the rfft coefficients k = 0..N//2 by
+1 / (1 + dt lambda_k).  The sphere solver transforms back with irfft at
+length N after every step.  The flat solver is linear, so it never returns
+to the grid: it transforms each block of noise once and advances only the
+recorded modes in closed form, unless its blow-up certificate fails and it
+reruns step by step on the grid.  Only the sphere solver's noise smoothing
+still runs on complex transforms.
 """
 
 from __future__ import annotations
@@ -354,32 +357,100 @@ def _implicit_step(u, gain):
     return np.fft.irfft(spec, n=u.shape[-1], axis=-1)
 
 
+# she_simulate raises StabilityError once a field leaves [-_BLOW_UP, _BLOW_UP].
+_BLOW_UP = 1e6
+# Bytes of noise drawn at once by the flat solver's block loop; this fixes
+# the block length.  Larger blocks save little and raise the peak memory.
+_NOISE_BLOCK_BYTES = 1 << 20
+
+
+def _grid_burn(cfg, mix, gain, burn, n_replicas):
+    """The burn loop on the grid: per step, add the mixed noise and take one
+    implicit step.  Raises StabilityError at the first step whose field is
+    not finite or leaves [-_BLOW_UP, _BLOW_UP]; returns the final field."""
+    rng = np.random.default_rng(cfg.seed)
+    u = np.zeros((n_replicas, cfg.dim, cfg.n_grid))
+    for step in range(burn):
+        eta = rng.standard_normal((n_replicas, cfg.n_noise, cfg.n_grid))
+        forcing = mix @ eta
+        forcing += u
+        u = _implicit_step(forcing, gain)
+        if not np.isfinite(u).all() or np.abs(u).max() > _BLOW_UP:
+            raise StabilityError(f"blow-up at step {step}")
+    return u
+
+
+def _block_burn(cfg, mix, gain, burn, n_replicas, top):
+    """The same burn on rfft columns 1..top of the unmixed noise, in blocks.
+
+    Returns the spectrum S [replica, noise, column] with mix @ S the final
+    field's columns, or None when the maximum-principle certificate cannot
+    rule out a blow-up.  Each block draws its steps' noise into one buffer
+    (the same stream, in the same order, as ``_grid_burn``), takes one rfft
+    and advances S <- g^k S + sum_j g^(k-j) F_j over its k steps.  The
+    certificate: (1 + dt L)^-1 is nonnegative with unit row sums, so
+    |u_n|_inf <= sum_{j<n} |mix|_inf max|eta_j|, which must stay below
+    _BLOW_UP / 2.
+    """
+    N, m = cfg.n_grid, cfg.n_noise
+    rng = np.random.default_rng(cfg.seed)
+    g = gain[1:top + 1]
+    block = min(burn, max(1, _NOISE_BLOCK_BYTES // (8 * n_replicas * m * N)))
+    # row i holds g^(block - i): a block of k steps takes the last k rows
+    weights = g ** np.arange(block, 0, -1)[:, None]
+    buf = np.empty((block, n_replicas, m, N))
+    spec = np.zeros((n_replicas, m, top), dtype=complex)
+    mix_norm = float(np.abs(mix).sum(axis=1).max())
+    bound = 0.0
+    for start in range(0, burn, block):
+        k = min(block, burn - start)
+        eta = buf[:k]
+        rng.standard_normal(out=eta)
+        steps = eta.reshape(k, -1)
+        bound += mix_norm * float(
+            np.maximum(steps.max(axis=1), -steps.min(axis=1)).sum())
+        if not bound <= _BLOW_UP / 2:
+            return None
+        spec *= g ** k
+        spec += np.einsum("jrmc,jc->rmc",
+                          np.fft.rfft(eta, axis=-1)[..., 1:top + 1],
+                          weights[block - k:])
+    return spec
+
+
 def she_simulate(cfg: SimConfig, modes=8, n_replicas=160):
     """Additive flat SHE on the circle; per-mode second moments vs the oracle.
 
     Runs an ensemble of independent replicas (cold start, burn chosen from
     the slowest mode's relaxation time) and records one snapshot each, so the
     standard errors come from genuinely independent samples.  Each burn step
-    adds the mixed noise sigma sqrt(dt/dx) eta and takes one implicit step in
-    rfft layout (``_implicit_step``); the recorded spectrum uses the full
-    complex FFT, so ``modes`` may exceed N//2.  Returns a dict with
+    adds the mixed noise sigma sqrt(dt/dx) eta and takes one implicit step.
+    The burn runs in blocks of noise (``_block_burn``): one rfft per block,
+    and only the recorded columns min(k, N - k), k = 1..modes, advance, in
+    closed form; the mixing by sigma commutes with the per-mode gains, so it
+    is applied once at the end.  When the block loop's maximum-principle
+    certificate cannot rule out a blow-up, the burn reruns step by step on
+    the grid (``_grid_burn``), which raises StabilityError at the step that
+    blows up.  ``modes`` must lie in 1..N-1.  Returns a dict with
     'mode_var' [component, mode], 'se', and 'oracle'.
     """
-    N, d, m = cfg.n_grid, cfg.dim, cfg.n_noise
+    N = cfg.n_grid
+    if not 1 <= modes < N:
+        raise ValueError(f"modes must lie in 1..{N - 1}, got {modes}")
     dx = 2.0 * math.pi / N
     gain = _implicit_gain(N, cfg.dt)
     mix = cfg.sigma * (cfg.noise_scale * math.sqrt(cfg.dt / dx))
     burn = max(cfg.burn, int(5.0 / (cfg.dt * laplacian_symbol(1, N))) + 1)
-    rng = np.random.default_rng(cfg.seed)
-    u = np.zeros((n_replicas, d, N))
-    for step in range(burn):
-        eta = rng.standard_normal((n_replicas, m, N))
-        forcing = mix @ eta
-        forcing += u
-        u = _implicit_step(forcing, gain)
-        if not np.isfinite(u).all() or np.abs(u).max() > 1e6:
-            raise StabilityError(f"blow-up at step {step}")
-    samples = np.abs(np.fft.fft(u, axis=2)[:, :, 1:modes + 1]) ** 2
+    top = min(modes, N // 2)
+    noise_spec = _block_burn(cfg, mix, gain, burn, n_replicas, top)
+    if noise_spec is None:
+        u = _grid_burn(cfg, mix, gain, burn, n_replicas)
+        spec = np.fft.rfft(u, axis=-1)[..., 1:top + 1]
+    else:
+        spec = mix @ noise_spec
+    # a real field's mode N - k is the conjugate of its mode k
+    k = np.arange(1, modes + 1)
+    samples = np.abs(spec[..., np.minimum(k, N - k) - 1]) ** 2
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / math.sqrt(n_replicas)
     oracle = np.array([flat_mode_variance_oracle(cfg, k)
@@ -392,9 +463,11 @@ def heat_decay_error(cfg: SimConfig, n_steps=200):
 
     The scheme applied with no noise must reproduce the spectral solution of
     its own discrete operator, u_hat_k(n) = u_hat_k(0)/(1 + dt lambda_k)^n,
-    to rounding accuracy.  The loop runs the real-FFT step ``she_simulate``
-    takes and the closed form uses the full complex FFT, so this pins the
-    solver's step, including its rfft layout.
+    to rounding accuracy.  The loop runs ``_implicit_step``, the real-FFT
+    step the sphere solver and the flat solver's grid rerun take, and the
+    closed form uses the full complex FFT, so this pins that step, including
+    its rfft layout.  The flat solver's block weights g^(k-j) are pinned by
+    the reference test in ``tests/test_renorm.py``.
     """
     N = cfg.n_grid
     x = 2.0 * math.pi * np.arange(N) / N

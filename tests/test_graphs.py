@@ -118,6 +118,15 @@ def test_wiring_validation():
         XGraph(1, 0, (NOISE,), {(0, 1): ("u", 1)}, [(0, 0)])
 
 
+def test_negative_degree_rejected():
+    # parse_graph rejects these headers with a line number; graphs built in
+    # code meet the same rule in XGraph itself
+    for u, l in [(-1, 0), (0, -2)]:
+        with pytest.raises(StructureError, match="negative degree"):
+            XGraph(u, l, (), {})
+    assert XGraph(0, 0, (), {}).degree == (0, 0)
+
+
 def test_vertex_limit_binds_graphs_built_in_code():
     def chain(n):
         # each noise feeds the star slot of the one before it

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gshe import renorm
 from gshe.renorm import (K3_SLOPE, Mollifier, SimConfig, StabilityError,
                          cbar_estimate, flat_mode_variance_oracle,
                          heat_decay_error, heat_kernel, k3_log_slope,
@@ -150,10 +151,30 @@ def ref_she_simulate(cfg: SimConfig, modes, n_replicas):
     return samples.mean(axis=0), se
 
 
-@pytest.mark.parametrize("n_grid", [8, 33, 49, 64])
-def test_she_matches_complex_fft_reference(n_grid):
+# grid, noise scale, steps per noise block (None: the default byte budget)
+# and whether the blow-up certificate fails, so the grid loop reruns
+SHE_REFERENCE_CASES = {
+    "8": (8, 0.8, None, False),
+    "33": (33, 0.8, None, False),
+    "49": (49, 0.8, None, False),
+    "64": (64, 0.8, None, False),
+    # the certificate's bound exceeds half the limit (for one noise it lies
+    # between half and all of it) while the field stays below a tenth of it
+    "8-rerun": (8, 3e4, None, True),
+    # the 18-step burn as blocks of 5, 5, 5 and 3 steps
+    "8-partial-block": (8, 0.8, 5, False),
+}
+
+
+@pytest.mark.parametrize("case", SHE_REFERENCE_CASES)
+def test_she_matches_complex_fft_reference(case, monkeypatch):
     # odd, even and non-power-of-two grids, modes above N//2, noise mixing
     # with more components than noises; the largest dt keeps the burn short
+    n_grid, noise_scale, block_steps, rerun = SHE_REFERENCE_CASES[case]
+    grid_burns = []
+    grid_burn = renorm._grid_burn
+    monkeypatch.setattr(renorm, "_grid_burn", lambda *args: (
+        grid_burns.append(args) or grid_burn(*args)))
     th = 0.7
     rotated = np.array([[1.0, 0.5], [0.0, 1.2]]) @ np.array(
         [[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
@@ -161,12 +182,24 @@ def test_she_matches_complex_fft_reference(n_grid):
     dt = 0.5 * (2.0 * math.pi / n_grid) ** 2
     for sigma in (np.eye(1), rotated, wide):
         d, m = sigma.shape
+        if block_steps:
+            monkeypatch.setattr(renorm, "_NOISE_BLOCK_BYTES",
+                                block_steps * 8 * 3 * m * n_grid)
         cfg = SimConfig(n_grid=n_grid, dt=dt, dim=d, n_noise=m, sigma=sigma,
-                        seed=n_grid + d, burn=1, noise_scale=0.8)
+                        seed=n_grid + d, burn=1, noise_scale=noise_scale)
         res = she_simulate(cfg, modes=n_grid - 1, n_replicas=3)
         mean, se = ref_she_simulate(cfg, modes=n_grid - 1, n_replicas=3)
         np.testing.assert_allclose(res["mode_var"], mean, rtol=1e-10)
         np.testing.assert_allclose(res["se"], se, rtol=1e-10)
+    assert len(grid_burns) == (3 if rerun else 0)
+
+
+def test_she_modes_within_grid():
+    cfg = SimConfig(n_grid=8)
+    for modes in (0, 8, 10):
+        with pytest.raises(ValueError, match=r"modes must lie in 1\.\.7"):
+            she_simulate(cfg, modes=modes, n_replicas=2)
+    assert she_simulate(cfg, modes=7, n_replicas=2)["mode_var"].shape == (1, 7)
 
 
 @pytest.mark.parametrize("n", [48, 49, 64])
