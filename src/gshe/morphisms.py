@@ -1,11 +1,15 @@
 """Covariant derivative, curvature, the diffeomorphism and pair-merging maps.
 
 ``nabla`` and ``curvature`` are built from the grafting product and the
-Christoffel generator.  ``phi_geo`` is the infinitesimal action of a
-diffeomorphism generator ``h`` on symbols (an infinitesimal morphism fixed by
-its values on the generators); its corrected version ``phi_hat_geo`` cuts out
-the geometric counterterms as its kernel.  ``m_ito`` merges noise pairs into
-a two-output generator, ``M_ito`` averages star edges over each pair, and
+Christoffel generator.  The distinguished vectors are plain calls of them on
+four labelled noises ``A1, A2, B1, B2``, after which ``pair_ab`` forgets the
+labels and pairs the a-noises and the b-noises: the curvature vectors
+``tau_star`` and ``tau_c``, and the 15 ``covariant_symbols`` that span S_geo.
+``phi_geo`` is the infinitesimal action of a diffeomorphism generator ``h``
+on symbols (an infinitesimal morphism fixed by its values on the
+generators); its corrected version ``phi_hat_geo`` cuts out the geometric
+counterterms as its kernel.  ``m_ito`` merges noise pairs into a two-output
+generator, ``M_ito`` averages star edges over each pair, and
 ``p_ito = p_acyc . M_ito`` is the self-adjoint projection whose fixed space
 within the symbol span is the Ito-isometric subspace.
 """
@@ -20,26 +24,6 @@ from .algebra import (LinComb, generator, generator_graph, graft,
                       product_graph, substitute_vertex, trace_graph)
 from .graphs import DegreeError, PairingError, XGraph
 from .symbols import DIFF, GAMMA, GPAIR, NOISE, forget_labels, labeled_noise
-
-
-def in_symbol_span(a: LinComb) -> bool:
-    """Membership test for the span of symbols and their h-decorations.
-
-    Every term must have degree (1,0), at most one h vertex, a perfect noise
-    pairing, and be connected as a graph without identifying paired vertices.
-    """
-    for g in a.terms:
-        if g.degree != (1, 0):
-            return False
-        h_count = sum(1 for t in g.types if t.name == DIFF.name)
-        if h_count > 1:
-            return False
-        noises = {v for v, t in enumerate(g.types) if t.name == NOISE.name}
-        if {v for p in g.pairing for v in p} != noises:
-            return False
-        if not g.is_connected(with_pairing=False):
-            return False
-    return True
 
 
 def nabla(a: LinComb, b: LinComb) -> LinComb:
@@ -64,50 +48,57 @@ def curvature(x: LinComb, y: LinComb, z: LinComb) -> LinComb:
             - nabla(nabla(x, y) - nabla(y, x), z))
 
 
-# -- labelled word expansion --------------------------------------------------
+# -- covariant words -----------------------------------------------------------
 
-def _atom(name):
-    return generator(labeled_noise({"a1": 1, "a2": 2, "b1": 3, "b2": 4}[name]))
-
-
-def expand_labeled(word) -> LinComb:
-    """Evaluate a nested word over atoms a1,a2,b1,b2 with labelled noises."""
-    if isinstance(word, str):
-        return _atom(word)
-    op = word[0]
-    if op == "nabla":
-        return nabla(expand_labeled(word[1]), expand_labeled(word[2]))
-    if op == "graft":
-        return graft(expand_labeled(word[1]), expand_labeled(word[2]))
-    if op == "R":
-        return curvature(*(expand_labeled(w) for w in word[1:]))
-    if op == "-":
-        return expand_labeled(word[1]) - expand_labeled(word[2])
-    if op == "scale":
-        return Fraction(word[1]) * expand_labeled(word[2])
-    raise ValueError(f"unknown word operator {op!r}")
+# Four distinguishable noises: words stay labelled until ``pair_ab``.
+A1, A2, B1, B2 = (generator(labeled_noise(i)) for i in range(1, 5))
 
 
-def expand_word(word) -> LinComb:
-    """Expand a word and pair the a-atoms together and the b-atoms together."""
-    return forget_labels(expand_labeled(word),
-                         pair_by={"Xi1": "a", "Xi2": "a", "Xi3": "b", "Xi4": "b"})
+def pair_ab(a: LinComb) -> LinComb:
+    """Forget the labels of a word in A1, A2, B1, B2, pairing a's and b's."""
+    return forget_labels(a, pair_by={"Xi1": "a", "Xi2": "a",
+                                     "Xi3": "b", "Xi4": "b"})
 
 
 @lru_cache(maxsize=None)
 def tau_star() -> LinComb:
-    word = ("-", ("R", "a1", ("nabla", "b1", "a2"), "b2"),
-            ("scale", 2, ("R", "a1", ("nabla", "a2", "b1"), "b2")))
-    return expand_word(word)
+    return pair_ab(curvature(A1, nabla(B1, A2), B2)
+                   - 2 * curvature(A1, nabla(A2, B1), B2))
 
 
 @lru_cache(maxsize=None)
 def tau_c() -> LinComb:
-    t1 = ("nabla", "a1", ("R", "b1", "a2", "b2"))
-    t2 = ("R", ("nabla", "a1", "b1"), "a2", "b2")
-    t3 = ("R", "b1", ("nabla", "a1", "a2"), "b2")
-    t4 = ("R", "b1", "a2", ("nabla", "a1", "b2"))
-    return expand_word(("-", ("-", ("-", t1, t2), t3), t4))
+    return pair_ab(nabla(A1, curvature(B1, A2, B2))
+                   - curvature(nabla(A1, B1), A2, B2)
+                   - curvature(B1, nabla(A1, A2), B2)
+                   - curvature(B1, A2, nabla(A1, B2)))
+
+
+@lru_cache(maxsize=None)
+def covariant_symbols():
+    """The 15 covariant-derivative vectors in the paired-symbol basis.
+
+    The 14 triple covariant derivatives that span V, then the single
+    derivative ``nabla(A1, A2)``.
+    """
+    N = nabla
+    return tuple(pair_ab(w) for w in (
+        N(A1, N(B1, N(B2, A2))),
+        N(B1, N(B2, N(A1, A2))),
+        N(B1, N(N(B2, A1), A2)),
+        N(N(B1, A1), N(B2, A2)),
+        N(N(A1, B1), N(B2, A2)),
+        N(N(B1, B2), N(A1, A2)),
+        N(N(B1, N(B2, A1)), A2),
+        N(N(B1, N(A1, A2)), B2),
+        N(N(N(B1, A1), A2), B2),
+        N(N(N(B1, A1), B2), A2),
+        N(A1, N(N(B1, A2), B2)),
+        N(N(A1, N(B1, A2)), B2),
+        N(N(N(A1, A2), B1), B2),
+        N(B1, N(N(A1, A2), B2)),
+        N(A1, A2),
+    ))
 
 
 # -- infinitesimal diffeomorphism action --------------------------------------

@@ -17,9 +17,9 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .algebra import LinComb, inner
-from .morphisms import p_ito, phi_hat_geo, tau_c, tau_star
-from .symbols import (basis_positions, covariant_symbols, flat_symbols,
-                      full_basis)
+from .morphisms import (A1, A2, B1, B2, covariant_symbols, curvature, nabla,
+                         p_ito, pair_ab, phi_hat_geo, tau_c, tau_star)
+from .symbols import GAMMA, NOISE, basis_positions, flat_symbols, full_basis
 
 
 # -- fraction-free elimination -------------------------------------------------
@@ -173,8 +173,6 @@ def nice_functionals():
     all-noise star (one pairing class) and the Christoffel root with two
     thick and two thin noise children (two pairing classes).
     """
-    from .symbols import GAMMA, NOISE
-
     out = []
     for s in full_basis():
         ok = True
@@ -273,8 +271,6 @@ def verify_functionals():
 @lru_cache(maxsize=None)
 def _nice_star_symbol():
     """The pairing class of the all-noise star (norm squared 2)."""
-    from .symbols import NOISE
-
     for s in nice_functionals():
         if all(t.name == NOISE.name for t in s.types):
             return s
@@ -303,19 +299,17 @@ def _extra_geo_functionals():
     pairing of the Christoffel-rooted nice symbol.  Their span agrees with
     the span of the five non-flat members of the printed functional list.
     """
-    from .morphisms import expand_word
-
     same, _ = _gamma_root_pairings()
-    w_mixed = expand_word(("R", "a1", ("nabla", "b1", "a2"), "b2"))
-    w_outer = expand_word(("R", "a1", ("nabla", "b1", "b2"), "a2"))
+    w_mixed = pair_ab(curvature(A1, nabla(B1, A2), B2))
+    w_outer = pair_ab(curvature(A1, nabla(B1, B2), A2))
     half = Fraction(1, 2)
     eabisc1 = next(g for g, c in w_mixed.terms.items() if c == half)
     eac1 = next(g for g, c in w_mixed.terms.items() if c == -half)
     eac2 = next(g for g, c in w_outer.terms.items() if c == -half)
     # the pairing of the one-Christoffel tree seen by the covariant derivative
     # of a curvature vector but not by the curvature of a covariant derivative
-    inner_cov = expand_word(("nabla", "a1", ("R", "b1", "a2", "b2")))
-    outer_cov = expand_word(("nabla", ("R", "a1", "b1", "b2"), "a2"))
+    inner_cov = pair_ab(nabla(A1, curvature(B1, A2, B2)))
+    outer_cov = pair_ab(nabla(curvature(A1, B1, B2), A2))
     seen = {g.canonical_key() for g in inner_cov.terms}
     ca2 = next(g for g in outer_cov.terms
                if g.canonical_key() not in seen and g.aut_count() == 2

@@ -11,6 +11,11 @@ The trees are generated by the algebra's own covariant derivative: the trees
 with n noises are the terms of ``nabla`` applied to the trees with k and
 n - k noises, over all splits k, so a tree has one representation, its
 canonical graph.
+
+Labelled noise types ``Xi1, Xi2, ...`` tell noises apart: ``iota_expand``
+labels the pairs of a symbol, and ``forget_labels`` maps labelled graphs back
+to paired symbols.  The covariant vectors written with them are in
+``morphisms``.
 """
 
 from __future__ import annotations
@@ -174,42 +179,3 @@ def flat_symbols():
 def basis_positions():
     """Map each symbol's canonical key to its index in full_basis()."""
     return {g.canonical_key(): i for i, g in enumerate(full_basis())}
-
-
-def basis_index(s: XGraph) -> int:
-    return basis_positions()[s.canonicalize()[0].canonical_key()]
-
-
-def covariant_words():
-    """The 14 triple covariant derivative words plus the single derivative.
-
-    Words are nested tuples over the atoms 'a1','a2','b1','b2':
-    ('nabla', X, Y).  The two a-atoms and the two b-atoms get paired.
-    """
-    N = lambda x, y: ("nabla", x, y)
-    words = [
-        N("a1", N("b1", N("b2", "a2"))),
-        N("b1", N("b2", N("a1", "a2"))),
-        N("b1", N(N("b2", "a1"), "a2")),
-        N(N("b1", "a1"), N("b2", "a2")),
-        N(N("a1", "b1"), N("b2", "a2")),
-        N(N("b1", "b2"), N("a1", "a2")),
-        N(N("b1", N("b2", "a1")), "a2"),
-        N(N("b1", N("a1", "a2")), "b2"),
-        N(N(N("b1", "a1"), "a2"), "b2"),
-        N(N(N("b1", "a1"), "b2"), "a2"),
-        N("a1", N(N("b1", "a2"), "b2")),
-        N(N("a1", N("b1", "a2")), "b2"),
-        N(N(N("a1", "a2"), "b1"), "b2"),
-        N("b1", N(N("a1", "a2"), "b2")),
-    ]
-    return words
-
-
-@lru_cache(maxsize=None)
-def covariant_symbols():
-    """The 15 covariant-derivative vectors in the paired-symbol basis."""
-    from .morphisms import expand_word
-
-    words = covariant_words() + [("nabla", "a1", "a2")]
-    return tuple(expand_word(w) for w in words)

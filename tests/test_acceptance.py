@@ -13,7 +13,8 @@ import pytest
 
 from gshe.algebra import LinComb, inner
 from gshe.graphs import XGraph
-from gshe.morphisms import (m_ito, p_ito, phi_hat_geo, phi_ito, tau_c,
+from gshe.morphisms import (A1, A2, B1, B2, covariant_symbols, m_ito, nabla,
+                            p_ito, pair_ab, phi_hat_geo, phi_ito, tau_c,
                             tau_star)
 from gshe.symbols import (DIFF, GAMMA, NOISE, enumerate_basis, full_basis)
 
@@ -60,15 +61,10 @@ def test_criterion_3_golden_expansions():
     ok &= len(tc) == 12 and sorted(tc.coefficients()) == sorted(
         Fraction(c) for c in (4, -4, 4, -4, 2, -2, -4, 4, 2, -2, 1, -1))
     # the missing covariant word equals the seven-term combination
-    from gshe.morphisms import expand_word
-    from gshe.symbols import covariant_words
-
-    N = lambda x, y: ("nabla", x, y)
-    w = covariant_words()
-    rel = (expand_word(w[0]) + expand_word(w[2]) - expand_word(w[6])
-           - expand_word(w[8]) + expand_word(w[9]) - expand_word(w[10])
-           + expand_word(w[11]))
-    ok &= expand_word(N("b1", N("a1", N("b2", "a2")))) == rel
+    N = nabla
+    w = covariant_symbols()
+    rel = w[0] + w[2] - w[6] - w[8] + w[9] - w[10] + w[11]
+    ok &= pair_ab(N(B1, N(A1, N(B2, A2)))) == rel
     notes.append("relationV")
     # infinitesimal action on the two-noise sector, derived by hand from the
     # generator images: the thin pairing maps to the h-rooted star, the

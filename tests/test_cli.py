@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -6,8 +7,8 @@ import sys
 import pytest
 
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def run_cli(*args, env=None, **kw):
@@ -34,6 +35,31 @@ def test_dims_contains_dim_s_row(tmp_path):
     text = out.read_text()
     assert "dim_S,54,54,PASS" in text
     assert "FAIL" not in text
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["expand", "--which", "V"],
+     "6534991996d6a8caa4327b17a913cfc0ed502df6d6e3a241f748d39d686f1868"),
+    (["dims"],
+     "af9da8a3e6a38630e887b4d6a87c8f25c84c75f3ee68069698d6906261062527"),
+])
+def test_exact_output_bytes(args, digest):
+    # no golden file holds these: SHA-256 digests of the printed stdout
+    r = run_cli(*args)
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
+def test_make_golden_reproduces_data(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "make_golden", os.path.join(ROOT, "scripts", "make_golden.py"))
+    make_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_golden)
+    monkeypatch.setattr(make_golden, "DATA", tmp_path)
+    make_golden.main()
+    for name in ("basis.txt", "tau_star.txt", "tau_c.txt"):
+        with open(os.path.join(SRC, "gshe", "data", name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
 def test_expand_roundtrip(tmp_path):
@@ -129,6 +155,31 @@ def test_sim_output_bytes(tmp_path, args, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args", [
+    ["--n", "49", "--dim", "1", "--modes", "48", "--replicas", "12",
+     "--seed", "1"],
+    ["--n", "33", "--dim", "3", "--modes", "20", "--replicas", "40",
+     "--seed", "7"],
+])
+def test_sim_flat_verdict_uses_oracle_error(tmp_path, args):
+    # at few replicas a low sample mean also has a small sample standard
+    # error; judged against the oracle's own error both runs pass
+    out = tmp_path / "modes.csv"
+    r = run_cli("sim", "--target", "flat", *args, "--out", str(out))
+    assert r.returncode == 0
+    assert "FAIL" not in out.read_text()
+
+
+def test_sim_sphere_blow_up_is_reported(tmp_path):
+    out = tmp_path / "sphere_snapshots.csv"
+    r = run_cli("sim", "--target", "sphere", "--n", "16", "--steps", "5",
+                "--noise", "1e9", "--out", str(out))
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert "gshe: sim: sphere run blew up at step 0" in r.stderr
+    assert not out.exists()
+
+
 def test_sim_sphere(tmp_path):
     out = tmp_path / "sphere_snapshots.csv"
     r = run_cli("sim", "--target", "sphere", "--n", "32", "--steps", "80",
@@ -193,6 +244,8 @@ def test_missing_input_file(tmp_path, command):
     (["sim", "--target", "sphere", "--steps", "0"], {}, "--steps"),
     (["check", "--cases", "0"], {}, "--cases"),
     (["--jobs", "0", "basis"], {}, "--jobs"),
+    (["sim", "--target", "sphere", "--noise", "nan"], {}, "--noise"),
+    (["sim", "--target", "sphere", "--noise", "inf"], {}, "--noise"),
 ])
 def test_malformed_flags_are_usage_errors(args, env, named):
     r = run_cli(*args, env={**os.environ, **env})

@@ -19,8 +19,8 @@ from gshe.graphs import ParseError, XGraph
 from gshe.morphisms import M_ito, m_ito, tau_c, tau_star
 from gshe.randgraphs import random_graph, random_lincomb, random_permutation
 from gshe.subspaces import from_coords, intersect, s_geo, s_nice
-from gshe.symbols import (GAMMA, GPAIR, full_basis, iota_expand,
-                          labeled_noise)
+from gshe.symbols import (DIFF, GAMMA, GPAIR, NOISE, full_basis,
+                          iota_expand, labeled_noise)
 
 
 def test_jet_arithmetic():
@@ -378,8 +378,28 @@ def test_upsilon_displayed_example(rng):
         assert got.value((a,)) == expect.value()
 
 
+def in_symbol_span(a: LinComb) -> bool:
+    """Membership test for the span of symbols and their h-decorations.
+
+    Every term must have degree (1,0), at most one h vertex, a perfect noise
+    pairing, and be connected as a graph without identifying paired vertices.
+    """
+    for g in a.terms:
+        if g.degree != (1, 0):
+            return False
+        h_count = sum(1 for t in g.types if t.name == DIFF.name)
+        if h_count > 1:
+            return False
+        noises = {v for v, t in enumerate(g.types) if t.name == NOISE.name}
+        if {v for p in g.pairing for v in p} != noises:
+            return False
+        if not g.is_connected(with_pairing=False):
+            return False
+    return True
+
+
 def test_in_symbol_span():
-    from gshe.morphisms import in_symbol_span, phi_hat_geo
+    from gshe.morphisms import phi_hat_geo
     from gshe.symbols import full_basis
 
     basis = full_basis()

@@ -7,15 +7,19 @@ import pytest
 from gshe.algebra import (LinComb, derive, generator, graft, inner,
                           parse_lincomb, product, trace, unit)
 from gshe.graphs import XGraph
-from gshe.morphisms import (M_ito, curvature, expand_word, lie_bracket,
-                            m_ito, nabla, p_acyc, p_ito, phi_geo,
-                            phi_hat_geo, phi_ito, tau_c, tau_star)
+from gshe.morphisms import (A1, A2, B1, B2, M_ito, covariant_symbols,
+                            curvature, lie_bracket, m_ito, nabla, p_acyc,
+                            p_ito, pair_ab, phi_geo, phi_hat_geo, phi_ito,
+                            tau_c, tau_star)
 from gshe.randgraphs import random_graph, random_lincomb
-from gshe.symbols import (DIFF, GAMMA, GENERATORS, NOISE, basis_index,
-                          covariant_symbols, covariant_words, full_basis,
-                          labeled_noise)
+from gshe.symbols import (DIFF, GAMMA, GENERATORS, NOISE, basis_positions,
+                          full_basis, labeled_noise)
 
 GENS = [NOISE, GAMMA]
+
+
+def basis_index(s):
+    return basis_positions()[s.canonicalize()[0].canonical_key()]
 
 
 def ref_graft(a, b):
@@ -57,7 +61,7 @@ def test_nabla_flat_projection(rng):
 
 def test_nabla_nn_expansion():
     # two terms: the grafted pair and half the Christoffel cherry
-    word = expand_word(("nabla", "a1", "a2"))
+    word = pair_ab(nabla(A1, A2))
     assert sorted(word.coefficients()) == [Fraction(1, 2), Fraction(1)]
 
 
@@ -100,12 +104,10 @@ def test_tau_c_golden():
 
 
 def test_relation_v():
-    N = lambda x, y: ("nabla", x, y)
-    lhs = expand_word(N("b1", N("a1", N("b2", "a2"))))
-    w = covariant_words()
-    rhs = (expand_word(w[0]) + expand_word(w[2]) - expand_word(w[6])
-           - expand_word(w[8]) + expand_word(w[9]) - expand_word(w[10])
-           + expand_word(w[11]))
+    N = nabla
+    lhs = pair_ab(N(B1, N(A1, N(B2, A2))))
+    w = covariant_symbols()
+    rhs = w[0] + w[2] - w[6] - w[8] + w[9] - w[10] + w[11]
     assert lhs == rhs
 
 
@@ -169,12 +171,9 @@ def test_phi_hat_geo_adjoint_identity():
 
 
 def test_lie_bracket_properties(rng):
-    from gshe.morphisms import expand_labeled
-
     a = generator(NOISE)
     assert lie_bracket(a, a) == LinComb()
-    xs = [expand_labeled(w) for w in [("nabla", "a1", "a2"),
-                                      ("graft", "b1", "b2"), "a1"]]
+    xs = [nabla(A1, A2), graft(B1, B2), A1]
     jac = (lie_bracket(xs[0], lie_bracket(xs[1], xs[2]))
            + lie_bracket(xs[1], lie_bracket(xs[2], xs[0]))
            + lie_bracket(xs[2], lie_bracket(xs[0], xs[1])))

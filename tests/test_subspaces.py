@@ -2,13 +2,14 @@ from fractions import Fraction
 from math import gcd
 
 from gshe.algebra import LinComb, inner
-from gshe.morphisms import p_ito, phi_hat_geo, tau_c, tau_star
+from gshe.morphisms import (covariant_symbols, p_ito, phi_hat_geo, tau_c,
+                            tau_star)
 from gshe.subspaces import (contains, dimension_report, from_coords,
                             intersect, kernel, nice_functionals, rank, rref,
                             s_geo, s_ito, s_nice, subspace_sum, v_space,
                             verify_functionals, _coords, _pairing_row,
                             _symbol_kernel)
-from gshe.symbols import covariant_symbols, full_basis
+from gshe.symbols import full_basis
 
 
 def _rand_matrix(rng, n, m):

@@ -124,7 +124,7 @@ def test_golden_basis_file():
 
 def test_covariant_symbols_independent():
     from gshe.subspaces import rank, _coords
-    from gshe.symbols import covariant_symbols
+    from gshe.morphisms import covariant_symbols
 
     vecs = [_coords(v) for v in covariant_symbols()]
     assert len(vecs) == 15
