@@ -8,8 +8,9 @@ claims with pass/fail), ``expand`` (distinguished vectors), ``check``
 check passed; an unreadable or malformed input file exits with 1 and a
 line-numbered message, an --out path that cannot be written with 1 and a
 ``cannot write`` message, a sphere run that blows up with 1 and no CSV; a
-malformed flag or ``GSHE_SEED``, a non-finite --noise, or a value the
-library rejects with ``ValueError``, exits with argparse's 2.
+malformed flag or ``GSHE_SEED``, a size above its bound (see --help), a
+non-finite --noise, or a value the library rejects with ``ValueError``,
+exits with argparse's 2.
 ``check`` runs each suite at its own default size unless --cases is given.
 Machine-readable CSV goes to --out when given, otherwise rows are printed
 alongside the human-readable report.
@@ -60,7 +61,7 @@ def _emit(rows, header, out_path):
 def _map(fn, payloads, jobs):
     """fn over payloads, in a pool of ``jobs`` worker processes when jobs > 1."""
     if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             return list(pool.map(fn, payloads))
     return [fn(p) for p in payloads]
 
@@ -241,15 +242,18 @@ def cmd_print(args):
     return 0
 
 
-def _int_at_least(low):
+def _int_in(low=None, high=None):
+    """An argparse type: an integer in low..high, a bound of None left open."""
     def convert(text):
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected an integer, got {text!r}") from None
-        if value < low:
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
     return convert
 
@@ -280,7 +284,7 @@ def build_parser():
     # A string default goes through the option's type, so a bad GSHE_SEED
     # is reported as a bad --seed, and only by subcommands that take one.
     seed = os.environ.get("GSHE_SEED", "0")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1,
+    p.add_argument("--jobs", type=_int_in(1), default=1,
                    help="worker count")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -302,8 +306,8 @@ def build_parser():
     q.add_argument("--suite", default="all",
                    choices=("all", "talgebra", "adjoint", "identities",
                             "jets"))
-    q.add_argument("--seed", type=_int_at_least(0), default=seed)
-    q.add_argument("--cases", type=_int_at_least(1),
+    q.add_argument("--seed", type=_int_in(0), default=seed)
+    q.add_argument("--cases", type=_int_in(1),
                    help="cases per claim (default: the suite's own)")
     q.add_argument("--out")
     q.set_defaults(fn=cmd_check)
@@ -314,21 +318,33 @@ def build_parser():
     q.set_defaults(fn=cmd_constants)
 
     q = sub.add_parser("ou", help="discrete loop covariance")
-    q.add_argument("--n", type=int, default=256)
+    # ou_loop_covariance rejects n < 8 itself
+    q.add_argument("--n", type=_int_in(high=10 ** 6), default=256,
+                   help="loop sites, 8..1000000 (the Monte Carlo uses "
+                   "min(n, 64))")
     q.add_argument("--mc", action="store_true")
-    q.add_argument("--seed", type=_int_at_least(0), default=seed)
+    q.add_argument("--seed", type=_int_in(0), default=seed)
     q.add_argument("--out")
     q.set_defaults(fn=cmd_ou)
 
     q = sub.add_parser("sim", help="run a circle solver")
     q.add_argument("--target", choices=("flat", "sphere"), required=True)
-    q.add_argument("--n", type=_int_at_least(2), default=64)
-    q.add_argument("--dim", type=_int_at_least(1), default=2)
-    q.add_argument("--modes", type=_int_at_least(1), default=8)
-    q.add_argument("--replicas", type=_int_at_least(2), default=160)
-    q.add_argument("--steps", type=_int_at_least(1), default=400)
+    # The upper bounds keep every run short enough to finish: the flat burn
+    # takes about 1.27 n^2 steps of replicas * dim * n normals each, so with
+    # --n, --replicas and --dim at their bounds about 20,800 steps of 1e6
+    # normals, on the order of ten minutes on one core.
+    q.add_argument("--n", type=_int_in(2, 128), default=64,
+                   help="grid points, 2..128")
+    q.add_argument("--dim", type=_int_in(1, 8), default=2,
+                   help="flat: field components and noises, 1..8")
+    q.add_argument("--modes", type=_int_in(1), default=8,
+                   help="flat: recorded modes, 1..n-1")
+    q.add_argument("--replicas", type=_int_in(2, 1000), default=160,
+                   help="flat: independent runs, 2..1000")
+    q.add_argument("--steps", type=_int_in(1, 100000), default=400,
+                   help="sphere: time steps, 1..100000")
     q.add_argument("--noise", type=_finite_float, default=1.0)
-    q.add_argument("--seed", type=_int_at_least(0), default=seed)
+    q.add_argument("--seed", type=_int_in(0), default=seed)
     q.add_argument("--out")
     q.set_defaults(fn=cmd_sim)
 

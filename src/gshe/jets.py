@@ -421,15 +421,6 @@ def vector_jet(d, order, jets) -> TensorJet:
     return TensorJet(1, 0, d, order, {(a,): j for a, j in enumerate(jets)})
 
 
-def format_jet(j: Jet) -> str:
-    """One ``(multi_index) = p/q`` line per coefficient, sorted."""
-    lines = [f"jet d={j.d} order={j.order}"]
-    coeffs = j.coeffs
-    for idx in sorted(coeffs):
-        lines.append(f"({','.join(str(k) for k in idx)}) = {coeffs[idx]}")
-    return "\n".join(lines)
-
-
 def tensors_agree(t1: TensorJet, t2: TensorJet) -> bool:
     """Componentwise equality up to the common valid truncation order."""
     if t1.degree != t2.degree or t1.d != t2.d:

@@ -8,12 +8,13 @@ additive stochastic heat equation on the circle checked against its exact
 per-mode variance, and the sphere-valued equation driven by the closest-point
 projection frame.
 
-Both circle solvers take implicit Euler heat steps on real FFTs: their
-fields are real, so a step multiplies the rfft coefficients k = 0..N//2 by
-1 / (1 + dt lambda_k).  The sphere solver transforms back with irfft at
-length N after every step.  The flat solver is linear, so it never returns
-to the grid: it transforms each block of noise once and advances only the
-recorded modes in closed form, unless its blow-up certificate fails and it
+Both circle solvers take implicit Euler heat steps in real Fourier
+modes: their fields are real, so a step multiplies the rfft coefficients
+k = 0..N//2 by 1 / (1 + dt lambda_k).  The sphere solver transforms back
+with irfft at length N after every step.  The flat solver is linear, so it
+never returns to the grid: per block of noise it computes only the recorded
+modes' DFT columns, weighted by their gains, in one real matmul, and
+advances them in closed form, unless its blow-up certificate fails and it
 reruns step by step on the grid.  Only the sphere solver's noise smoothing
 still runs on complex transforms.
 """
@@ -212,6 +213,12 @@ def k3_log_slope(rho: Mollifier, eps_list, **kw):
 
 # -- discrete loop covariance ---------------------------------------------------
 
+# Steps of ou_loop_mc's noise drawn and transformed at once.  Larger chunks
+# are no faster and raise the peak memory: all 3,300 steps of a default run
+# at once add about 8 MB.
+_OU_CHUNK_STEPS = 256
+
+
 def ou_loop_covariance(N: int):
     """Exact stationary statistics of the linearised discrete loop.
 
@@ -238,7 +245,10 @@ def ou_loop_mc(N: int, n_steps=3000, burn=300, seed=0):
 
     Uses the real FFT layout: the DFT of the site-wise system diagonalises
     into independent complex OU modes with stationary E|u_hat_k|^2 =
-    N eps / (2 - 2 cos theta_k); mode zero is projected out.  Returns
+    N eps / (2 - 2 cos theta_k); mode zero is projected out.  The steps run
+    in chunks: one draw per chunk (the same stream, in the same order, as
+    one draw per step), the per-mode recurrence step by step, then one
+    batched irfft and the two means per sample over the chunk.  Returns
     (a2, a1, se2, se1) with batch-mean standard errors.
     """
     rng = np.random.default_rng(seed)
@@ -256,25 +266,32 @@ def ou_loop_mc(N: int, n_steps=3000, burn=300, seed=0):
     if N % 2 == 0:
         real_mode[half] = True
 
-    def complex_noise(var):
-        re = rng.standard_normal(half + 1)
-        im = rng.standard_normal(half + 1)
-        out = np.where(real_mode, re * np.sqrt(var),
-                       (re + 1j * im) * np.sqrt(var / 2.0))
-        return out
+    def complex_noise(draws, var):
+        # draws [..., re | im, mode]
+        re, im = draws[..., 0, :], draws[..., 1, :]
+        return np.where(real_mode, re * np.sqrt(var),
+                        (re + 1j * im) * np.sqrt(var / 2.0))
 
-    z = complex_noise(stat)
+    z = complex_noise(rng.standard_normal((2, half + 1)), stat)
     z[0] = 0.0
-    samples2, samples1 = [], []
-    for step in range(n_steps + burn):
-        z = decay * z + complex_noise(step_var)
-        z[0] = 0.0
-        if step < burn:
-            continue
-        u = np.fft.irfft(z, n=N)
-        du = np.roll(u, -1) - u
-        samples2.append(np.mean(du * du) / eps)
-        samples1.append(np.mean(u * du) / eps)
+    total = n_steps + burn
+    zs = np.empty((min(_OU_CHUNK_STEPS, total), half + 1), dtype=complex)
+    samples2, samples1 = np.empty(n_steps), np.empty(n_steps)
+    for start in range(0, total, _OU_CHUNK_STEPS):
+        c = min(_OU_CHUNK_STEPS, total - start)
+        noise = complex_noise(rng.standard_normal((c, 2, half + 1)),
+                              step_var)
+        # with z[0] = 0 this keeps mode zero projected out
+        noise[:, 0] = 0.0
+        for i in range(c):
+            z = zs[i] = decay * z + noise[i]
+        lo = max(0, burn - start)
+        if lo < c:
+            u = np.fft.irfft(zs[lo:c], n=N, axis=-1)
+            du = np.roll(u, -1, axis=-1) - u
+            rows = slice(start + lo - burn, start + c - burn)
+            samples2[rows] = np.mean(du * du, axis=-1) / eps
+            samples1[rows] = np.mean(u * du, axis=-1) / eps
     a2, a1 = float(np.mean(samples2)), float(np.mean(samples1))
     nb = 20
     se2 = float(np.std([np.mean(b) for b in np.array_split(samples2, nb)],
@@ -386,20 +403,30 @@ def _block_burn(cfg, mix, gain, burn, n_replicas, top):
     Returns the spectrum S [replica, noise, column] with mix @ S the final
     field's columns, or None when the maximum-principle certificate cannot
     rule out a blow-up.  Each block draws its steps' noise into one buffer
-    (the same stream, in the same order, as ``_grid_burn``), takes one rfft
-    and advances S <- g^k S + sum_j g^(k-j) F_j over its k steps.  The
+    (the same stream, in the same order, as ``_grid_burn``) and advances
+    S <- g^k S + sum_j g^(k-j) F_j over its k steps in one real matmul
+    against only the wanted DFT columns, cos | -sin for 1..top, with the
+    weights g^(k-j) folded in (FFT pruning: no other column is computed).
+    That matrix, like the noise buffer, fits in _NOISE_BLOCK_BYTES.  The
     certificate: (1 + dt L)^-1 is nonnegative with unit row sums, so
     |u_n|_inf <= sum_{j<n} |mix|_inf max|eta_j|, which must stay below
     _BLOW_UP / 2.
     """
     N, m = cfg.n_grid, cfg.n_noise
+    rows = n_replicas * m
     rng = np.random.default_rng(cfg.seed)
-    g = gain[1:top + 1]
-    block = min(burn, max(1, _NOISE_BLOCK_BYTES // (8 * n_replicas * m * N)))
-    # row i holds g^(block - i): a block of k steps takes the last k rows
-    weights = g ** np.arange(block, 0, -1)[:, None]
+    g = np.tile(gain[1:top + 1], 2)
+    block = min(burn, max(1, _NOISE_BLOCK_BYTES
+                          // (8 * N * max(rows, 2 * top))))
+    # angles 2 pi (n k mod N) / N are reduced exactly in the integers
+    phase = 2.0 * math.pi / N * (np.outer(np.arange(N), np.arange(1, top + 1))
+                                 % N)
+    dft = np.concatenate([np.cos(phase), -np.sin(phase)], axis=1)
+    # W[i] is the DFT times g^(block - i): a block of k steps takes the
+    # last k of them
+    W = dft * (g ** np.arange(block, 0, -1)[:, None])[:, None, :]
     buf = np.empty((block, n_replicas, m, N))
-    spec = np.zeros((n_replicas, m, top), dtype=complex)
+    spec = np.zeros((rows, 2 * top))
     mix_norm = float(np.abs(mix).sum(axis=1).max())
     bound = 0.0
     for start in range(0, burn, block):
@@ -412,10 +439,9 @@ def _block_burn(cfg, mix, gain, burn, n_replicas, top):
         if not bound <= _BLOW_UP / 2:
             return None
         spec *= g ** k
-        spec += np.einsum("jrmc,jc->rmc",
-                          np.fft.rfft(eta, axis=-1)[..., 1:top + 1],
-                          weights[block - k:])
-    return spec
+        spec += np.matmul(eta.reshape(k, rows, N), W[block - k:]).sum(axis=0)
+    spec = spec.reshape(n_replicas, m, 2 * top)
+    return spec[..., :top] + 1j * spec[..., top:]
 
 
 def she_simulate(cfg: SimConfig, modes=8, n_replicas=160):
@@ -425,10 +451,10 @@ def she_simulate(cfg: SimConfig, modes=8, n_replicas=160):
     the slowest mode's relaxation time) and records one snapshot each, so the
     standard errors come from genuinely independent samples.  Each burn step
     adds the mixed noise sigma sqrt(dt/dx) eta and takes one implicit step.
-    The burn runs in blocks of noise (``_block_burn``): one rfft per block,
-    and only the recorded columns min(k, N - k), k = 1..modes, advance, in
-    closed form; the mixing by sigma commutes with the per-mode gains, so it
-    is applied once at the end.  When the block loop's maximum-principle
+    The burn runs in blocks of noise (``_block_burn``): one real matmul per
+    block computes only the recorded columns min(k, N - k), k = 1..modes,
+    which advance in closed form; the mixing by sigma commutes with the
+    per-mode gains, so it is applied once at the end.  When the block loop's maximum-principle
     certificate cannot rule out a blow-up, the burn reruns step by step on
     the grid (``_grid_burn``), which raises StabilityError at the step that
     blows up.  ``modes`` must lie in 1..N-1.  Returns a dict with

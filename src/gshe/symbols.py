@@ -75,11 +75,6 @@ def _pairings(items):
             yield [(first, other)] + tail
 
 
-def tree_shapes(n):
-    """Canonical unpaired trees with n noises (single noise type)."""
-    return sorted(_trees(n).terms, key=XGraph.canonical_key)
-
-
 def enumerate_basis(n):
     """All canonical paired symbols with n noises, in sorted canonical order."""
     if n not in (2, 4):

@@ -246,6 +246,12 @@ def test_missing_input_file(tmp_path, command):
     (["--jobs", "0", "basis"], {}, "--jobs"),
     (["sim", "--target", "sphere", "--noise", "nan"], {}, "--noise"),
     (["sim", "--target", "sphere", "--noise", "inf"], {}, "--noise"),
+    # sizes beyond the stated bounds, which would exhaust memory or time
+    (["ou", "--n", "100000000000"], {}, "--n"),
+    (["sim", "--target", "flat", "--n", "100000000"], {}, "--n"),
+    (["sim", "--target", "flat", "--replicas", "1001"], {}, "--replicas"),
+    (["sim", "--target", "flat", "--dim", "9"], {}, "--dim"),
+    (["sim", "--target", "sphere", "--steps", "100001"], {}, "--steps"),
 ])
 def test_malformed_flags_are_usage_errors(args, env, named):
     r = run_cli(*args, env={**os.environ, **env})
@@ -268,3 +274,26 @@ def test_unwritable_out_path(tmp_path, args):
     assert r.returncode == 1
     assert "Traceback" not in r.stderr
     assert f"cannot write {out}: " in r.stderr
+
+
+def test_pool_starts_no_more_workers_than_payloads(monkeypatch):
+    from gshe import cli
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    assert cli._map(abs, [-1, -2], 10 ** 6) == [1, 2]
+    assert sizes == [2]

@@ -13,8 +13,7 @@ from gshe.jets import (InversionError, Jet, TensorJet, Valuation,
                        levi_civita, matrix_inverse, nabla_inverse_metric,
                        random_gamma, random_jet, random_vector_field,
                        riemann, scalar_curvature_gradient, sphere_frame,
-                       tensors_agree, vector_jet, zero_jet, _mat_mul,
-                       format_jet)
+                       tensors_agree, vector_jet, zero_jet, _mat_mul)
 from gshe.graphs import ParseError, XGraph
 from gshe.morphisms import M_ito, m_ito, tau_c, tau_star
 from gshe.randgraphs import random_graph, random_lincomb, random_permutation
@@ -298,6 +297,15 @@ def test_nice_geo_vanishing(rng):
     for vec in intersect(s_geo(), s_nice()):
         tv = val(from_coords(vec))
         assert all(tv.value((a,)) == 0 for a in range(d))
+
+
+def format_jet(j: Jet) -> str:
+    """One ``(multi_index) = p/q`` line per coefficient, sorted."""
+    lines = [f"jet d={j.d} order={j.order}"]
+    coeffs = j.coeffs
+    for idx in sorted(coeffs):
+        lines.append(f"({','.join(str(k) for k in idx)}) = {coeffs[idx]}")
+    return "\n".join(lines)
 
 
 def parse_jet(text):

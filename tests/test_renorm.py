@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,66 @@ def test_ou_zero_mode_projected():
     assert math.isfinite(a2m) and math.isfinite(a1m)
 
 
+def ref_ou_loop_mc(N: int, n_steps=3000, burn=300, seed=0):
+    """Reference loop: one draw, irfft, roll and mean per step."""
+    rng = np.random.default_rng(seed)
+    eps = 1.0 / N
+    half = N // 2
+    k = np.arange(half + 1)
+    theta = 2.0 * math.pi * k / N
+    lam = np.where(k > 0, (2.0 - 2.0 * np.cos(theta)) / eps ** 2, 1.0)
+    stat = np.where(k > 0, N * eps / np.maximum(2.0 - 2.0 * np.cos(theta), 1e-300), 0.0)
+    dt = 0.25 * eps ** 2
+    decay = np.exp(-lam * dt)
+    step_var = stat * (1.0 - decay ** 2)
+    real_mode = np.zeros(half + 1, dtype=bool)
+    real_mode[0] = True
+    if N % 2 == 0:
+        real_mode[half] = True
+
+    def complex_noise(var):
+        re = rng.standard_normal(half + 1)
+        im = rng.standard_normal(half + 1)
+        out = np.where(real_mode, re * np.sqrt(var),
+                       (re + 1j * im) * np.sqrt(var / 2.0))
+        return out
+
+    z = complex_noise(stat)
+    z[0] = 0.0
+    samples2, samples1 = [], []
+    for step in range(n_steps + burn):
+        z = decay * z + complex_noise(step_var)
+        z[0] = 0.0
+        if step < burn:
+            continue
+        u = np.fft.irfft(z, n=N)
+        du = np.roll(u, -1) - u
+        samples2.append(np.mean(du * du) / eps)
+        samples1.append(np.mean(u * du) / eps)
+    a2, a1 = float(np.mean(samples2)), float(np.mean(samples1))
+    nb = 20
+    se2 = float(np.std([np.mean(b) for b in np.array_split(samples2, nb)],
+                       ddof=1) / math.sqrt(nb))
+    se1 = float(np.std([np.mean(b) for b in np.array_split(samples1, nb)],
+                       ddof=1) / math.sqrt(nb))
+    return a2, a1, se2, se1
+
+
+CHUNK = renorm._OU_CHUNK_STEPS
+
+
+@pytest.mark.parametrize("args", [
+    (64,),
+    (63,),
+    # a burn that ends inside a chunk, and a run shorter than one chunk
+    (32, 2 * CHUNK, CHUNK + 44, 5),
+    (16, CHUNK // 3, 10, 2),
+])
+def test_ou_mc_matches_per_step_reference(args):
+    # the same draws and the same arithmetic per sample, so equal bits
+    assert ou_loop_mc(*args) == ref_ou_loop_mc(*args)
+
+
 def test_flat_she_matches_oracle():
     cfg = SimConfig(n_grid=64, dim=2, n_noise=2, seed=5,
                     sigma=np.array([[1.0, 0.5], [0.0, 1.2]]))
@@ -151,18 +212,24 @@ def ref_she_simulate(cfg: SimConfig, modes, n_replicas):
     return samples.mean(axis=0), se
 
 
-# grid, noise scale, steps per noise block (None: the default byte budget)
-# and whether the blow-up certificate fails, so the grid loop reruns
+# grid, recorded modes, noise scale, steps per noise block (None: the
+# default byte budget) and whether the blow-up certificate fails, so the
+# grid loop reruns
 SHE_REFERENCE_CASES = {
-    "8": (8, 0.8, None, False),
-    "33": (33, 0.8, None, False),
-    "49": (49, 0.8, None, False),
-    "64": (64, 0.8, None, False),
+    "8": (8, 7, 0.8, None, False),
+    "33": (33, 32, 0.8, None, False),
+    "49": (49, 48, 0.8, None, False),
+    "64": (64, 63, 0.8, None, False),
     # the certificate's bound exceeds half the limit (for one noise it lies
     # between half and all of it) while the field stays below a tenth of it
-    "8-rerun": (8, 3e4, None, True),
+    "8-rerun": (8, 7, 3e4, None, True),
     # the 18-step burn as blocks of 5, 5, 5 and 3 steps
-    "8-partial-block": (8, 0.8, 5, False),
+    "8-partial-block": (8, 7, 0.8, 5, False),
+    # fewer DFT columns than the rfft has
+    "16-three-modes": (16, 3, 0.8, None, False),
+    # 2 * 48 DFT columns against 3 * m noise rows: the DFT matrix, not the
+    # noise buffer, bounds the block to 14 of the 2,335 burn steps
+    "96-all-modes": (96, 95, 0.8, None, False),
 }
 
 
@@ -170,7 +237,7 @@ SHE_REFERENCE_CASES = {
 def test_she_matches_complex_fft_reference(case, monkeypatch):
     # odd, even and non-power-of-two grids, modes above N//2, noise mixing
     # with more components than noises; the largest dt keeps the burn short
-    n_grid, noise_scale, block_steps, rerun = SHE_REFERENCE_CASES[case]
+    n_grid, modes, noise_scale, block_steps, rerun = SHE_REFERENCE_CASES[case]
     grid_burns = []
     grid_burn = renorm._grid_burn
     monkeypatch.setattr(renorm, "_grid_burn", lambda *args: (
@@ -180,6 +247,7 @@ def test_she_matches_complex_fft_reference(case, monkeypatch):
         [[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
     wide = np.array([[1.0, 0.5], [0.2, 1.2], [-0.7, 0.3]])
     dt = 0.5 * (2.0 * math.pi / n_grid) ** 2
+    peaks = []
     for sigma in (np.eye(1), rotated, wide):
         d, m = sigma.shape
         if block_steps:
@@ -187,11 +255,17 @@ def test_she_matches_complex_fft_reference(case, monkeypatch):
                                 block_steps * 8 * 3 * m * n_grid)
         cfg = SimConfig(n_grid=n_grid, dt=dt, dim=d, n_noise=m, sigma=sigma,
                         seed=n_grid + d, burn=1, noise_scale=noise_scale)
-        res = she_simulate(cfg, modes=n_grid - 1, n_replicas=3)
-        mean, se = ref_she_simulate(cfg, modes=n_grid - 1, n_replicas=3)
+        tracemalloc.start()
+        res = she_simulate(cfg, modes=modes, n_replicas=3)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        mean, se = ref_she_simulate(cfg, modes=modes, n_replicas=3)
         np.testing.assert_allclose(res["mode_var"], mean, rtol=1e-10)
         np.testing.assert_allclose(res["se"], se, rtol=1e-10)
     assert len(grid_burns) == (3 if rerun else 0)
+    if block_steps is None:
+        # the noise buffer and the DFT matrix each fit in the byte budget
+        assert max(peaks) < 3 * renorm._NOISE_BLOCK_BYTES
 
 
 def test_she_modes_within_grid():

@@ -4,11 +4,16 @@ import pytest
 
 from gshe.algebra import LinComb, inner
 from gshe.graphs import XGraph, parse_graph
-from gshe.symbols import (GAMMA, GENERATORS, NOISE, enumerate_basis,
-                          flat_symbols, forget_labels, full_basis,
-                          iota_expand, labeled_noise, pairing_orbit_count,
-                          symmetry_factor, tree_shapes,
+from gshe.symbols import (GAMMA, GENERATORS, NOISE, _trees,
+                          enumerate_basis, flat_symbols, forget_labels,
+                          full_basis, iota_expand, labeled_noise,
+                          pairing_orbit_count, symmetry_factor,
                           unpaired_symmetry_factor)
+
+
+def tree_shapes(n):
+    """Canonical unpaired trees with n noises (single noise type)."""
+    return sorted(_trees(n).terms, key=XGraph.canonical_key)
 
 
 def test_basis_counts():
