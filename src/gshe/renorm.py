@@ -13,9 +13,10 @@ modes: their fields are real, so a step multiplies the rfft coefficients
 k = 0..N//2 by 1 / (1 + dt lambda_k).  The sphere solver transforms back
 with irfft at length N after every step.  The flat solver is linear, so it
 never returns to the grid: per block of noise it computes only the recorded
-modes' DFT columns, weighted by their gains, in one real matmul, and
-advances them in closed form, unless its blow-up certificate fails and it
-reruns step by step on the grid.  Only the sphere solver's noise smoothing
+modes' DFT columns, weighted by their gains, in one real matmul where that
+costs less than a transform (few modes against many noise rows) and from
+one rfft otherwise, and advances them in closed form, unless its blow-up
+certificate fails and it reruns step by step on the grid.  Only the sphere solver's noise smoothing
 still runs on complex transforms.
 """
 
@@ -404,10 +405,13 @@ def _block_burn(cfg, mix, gain, burn, n_replicas, top):
     field's columns, or None when the maximum-principle certificate cannot
     rule out a blow-up.  Each block draws its steps' noise into one buffer
     (the same stream, in the same order, as ``_grid_burn``) and advances
-    S <- g^k S + sum_j g^(k-j) F_j over its k steps in one real matmul
-    against only the wanted DFT columns, cos | -sin for 1..top, with the
-    weights g^(k-j) folded in (FFT pruning: no other column is computed).
-    That matrix, like the noise buffer, fits in _NOISE_BLOCK_BYTES.  The
+    S <- g^k S + sum_j g^(k-j) F_j over its k steps.  The block's columns
+    F_j come from one rfft, or, where it pays, from one real matmul against
+    only the wanted DFT columns, cos | -sin for 1..top, with the weights
+    g^(k-j) folded in (FFT pruning: no other column is computed).  It pays
+    for 2 top <= R m, so that the matrix is no larger than the noise
+    buffer, and top <= 3 log2 N, below which the matmul's 2 top N
+    multiply-adds per row and step cost less than the full transform.  The
     certificate: (1 + dt L)^-1 is nonnegative with unit row sums, so
     |u_n|_inf <= sum_{j<n} |mix|_inf max|eta_j|, which must stay below
     _BLOW_UP / 2.
@@ -415,18 +419,27 @@ def _block_burn(cfg, mix, gain, burn, n_replicas, top):
     N, m = cfg.n_grid, cfg.n_noise
     rows = n_replicas * m
     rng = np.random.default_rng(cfg.seed)
-    g = np.tile(gain[1:top + 1], 2)
-    block = min(burn, max(1, _NOISE_BLOCK_BYTES
-                          // (8 * N * max(rows, 2 * top))))
-    # angles 2 pi (n k mod N) / N are reduced exactly in the integers
-    phase = 2.0 * math.pi / N * (np.outer(np.arange(N), np.arange(1, top + 1))
-                                 % N)
-    dft = np.concatenate([np.cos(phase), -np.sin(phase)], axis=1)
-    # W[i] is the DFT times g^(block - i): a block of k steps takes the
-    # last k of them
-    W = dft * (g ** np.arange(block, 0, -1)[:, None])[:, None, :]
+    g = gain[1:top + 1]
+    block = min(burn, max(1, _NOISE_BLOCK_BYTES // (8 * N * rows)))
+    # row i holds g^(block - i): a block of k steps takes the last k rows
+    weights = g ** np.arange(block, 0, -1)[:, None]
+    if top <= min(rows / 2, 3 * math.log2(N)):
+        # angles 2 pi (n k mod N) / N are reduced exactly in the integers
+        phase = 2.0 * math.pi / N * (
+            np.outer(np.arange(N), np.arange(1, top + 1)) % N)
+        dft = np.concatenate([np.cos(phase), -np.sin(phase)], axis=1)
+        W = dft * np.tile(weights, 2)[:, None, :]
+
+        def columns(eta, k):
+            s = np.matmul(eta.reshape(k, rows, N), W[block - k:]).sum(axis=0)
+            return s[:, :top] + 1j * s[:, top:]
+    else:
+        def columns(eta, k):
+            return np.einsum("jrc,jc->rc", np.fft.rfft(
+                eta.reshape(k, rows, N), axis=-1)[..., 1:top + 1],
+                weights[block - k:])
     buf = np.empty((block, n_replicas, m, N))
-    spec = np.zeros((rows, 2 * top))
+    spec = np.zeros((rows, top), dtype=complex)
     mix_norm = float(np.abs(mix).sum(axis=1).max())
     bound = 0.0
     for start in range(0, burn, block):
@@ -439,9 +452,8 @@ def _block_burn(cfg, mix, gain, burn, n_replicas, top):
         if not bound <= _BLOW_UP / 2:
             return None
         spec *= g ** k
-        spec += np.matmul(eta.reshape(k, rows, N), W[block - k:]).sum(axis=0)
-    spec = spec.reshape(n_replicas, m, 2 * top)
-    return spec[..., :top] + 1j * spec[..., top:]
+        spec += columns(eta, k)
+    return spec.reshape(n_replicas, m, top)
 
 
 def she_simulate(cfg: SimConfig, modes=8, n_replicas=160):
@@ -451,10 +463,11 @@ def she_simulate(cfg: SimConfig, modes=8, n_replicas=160):
     the slowest mode's relaxation time) and records one snapshot each, so the
     standard errors come from genuinely independent samples.  Each burn step
     adds the mixed noise sigma sqrt(dt/dx) eta and takes one implicit step.
-    The burn runs in blocks of noise (``_block_burn``): one real matmul per
-    block computes only the recorded columns min(k, N - k), k = 1..modes,
-    which advance in closed form; the mixing by sigma commutes with the
-    per-mode gains, so it is applied once at the end.  When the block loop's maximum-principle
+    The burn runs in blocks of noise (``_block_burn``): one real matmul (or,
+    for many modes or few noise rows, one rfft) per block computes the
+    recorded columns min(k, N - k), k = 1..modes, which advance in closed
+    form; the mixing by sigma commutes with the per-mode gains, so it is
+    applied once at the end.  When the block loop's maximum-principle
     certificate cannot rule out a blow-up, the burn reruns step by step on
     the grid (``_grid_burn``), which raises StabilityError at the step that
     blows up.  ``modes`` must lie in 1..N-1.  Returns a dict with

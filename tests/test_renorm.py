@@ -227,9 +227,11 @@ SHE_REFERENCE_CASES = {
     "8-partial-block": (8, 7, 0.8, 5, False),
     # fewer DFT columns than the rfft has
     "16-three-modes": (16, 3, 0.8, None, False),
-    # 2 * 48 DFT columns against 3 * m noise rows: the DFT matrix, not the
-    # noise buffer, bounds the block to 14 of the 2,335 burn steps
+    # 2 * 48 DFT columns against 3 * m noise rows: the matrix would outgrow
+    # the noise buffer, so every block takes an rfft
     "96-all-modes": (96, 95, 0.8, None, False),
+    # the pruned DFT matmul over blocks of 5, 5, 5 and 3 steps
+    "8-one-mode-partial-block": (8, 1, 0.8, 5, False),
 }
 
 
@@ -256,9 +258,11 @@ def test_she_matches_complex_fft_reference(case, monkeypatch):
         cfg = SimConfig(n_grid=n_grid, dt=dt, dim=d, n_noise=m, sigma=sigma,
                         seed=n_grid + d, burn=1, noise_scale=noise_scale)
         tracemalloc.start()
-        res = she_simulate(cfg, modes=modes, n_replicas=3)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
+        try:
+            res = she_simulate(cfg, modes=modes, n_replicas=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
         mean, se = ref_she_simulate(cfg, modes=modes, n_replicas=3)
         np.testing.assert_allclose(res["mode_var"], mean, rtol=1e-10)
         np.testing.assert_allclose(res["se"], se, rtol=1e-10)
@@ -266,6 +270,36 @@ def test_she_matches_complex_fft_reference(case, monkeypatch):
     if block_steps is None:
         # the noise buffer and the DFT matrix each fit in the byte budget
         assert max(peaks) < 3 * renorm._NOISE_BLOCK_BYTES
+
+
+@pytest.mark.parametrize("n_grid, n_replicas, n_noise, top, pruned", [
+    (64, 160, 1, 8, True),     # the flat defaults
+    (64, 40, 1, 18, True),     # top = 3 log2 N
+    (64, 40, 1, 19, False),    # the matmul would cost more than the rfft
+    (64, 3, 2, 3, True),       # the matrix is as large as the noise buffer
+    (64, 3, 1, 2, False),      # it would be larger
+    (128, 2, 1, 64, False),
+])
+def test_block_burn_prunes_only_where_it_pays(n_grid, n_replicas, n_noise,
+                                              top, pruned, monkeypatch):
+    # the pruned matmul and the rfft give the same weighted noise columns
+    # sum_j g^(burn - j) F_j; which one runs is fixed by N, R m and top
+    rfft = np.fft.rfft
+    rffts = []
+    monkeypatch.setattr(np.fft, "rfft", lambda *args, **kw: (
+        rffts.append(args) or rfft(*args, **kw)))
+    cfg = SimConfig(n_grid=n_grid, dim=n_noise, n_noise=n_noise, seed=5)
+    gain = renorm._implicit_gain(n_grid, cfg.dt)
+    burn = 3
+    spec = renorm._block_burn(cfg, np.eye(n_noise), gain, burn, n_replicas,
+                              top)
+    assert (not rffts) == pruned
+    eta = np.random.default_rng(5).standard_normal(
+        (burn, n_replicas, n_noise, n_grid))
+    g = gain[1:top + 1]
+    ref = sum(g ** (burn - j) * rfft(eta[j], axis=-1)[..., 1:top + 1]
+              for j in range(burn))
+    np.testing.assert_allclose(spec, ref, rtol=1e-10, atol=1e-10)
 
 
 def test_she_modes_within_grid():
