@@ -409,9 +409,9 @@ def _block_burn(cfg, mix, gain, burn, n_replicas, top):
     F_j come from one rfft, or, where it pays, from one real matmul against
     only the wanted DFT columns, cos | -sin for 1..top, with the weights
     g^(k-j) folded in (FFT pruning: no other column is computed).  It pays
-    for 2 top <= R m, so that the matrix is no larger than the noise
-    buffer, and top <= 3 log2 N, below which the matmul's 2 top N
-    multiply-adds per row and step cost less than the full transform.  The
+    for 2 top <= n_replicas * n_noise, so that the matrix is no larger than
+    the noise buffer, and top <= 3 log2 N, below which the matmul's 2 top N
+    multiply-adds per noise row and step cost less than the transform.  The
     certificate: (1 + dt L)^-1 is nonnegative with unit row sums, so
     |u_n|_inf <= sum_{j<n} |mix|_inf max|eta_j|, which must stay below
     _BLOW_UP / 2.
