@@ -11,7 +11,8 @@ a (u, l)-indexed family of jets and realises the tensor operations mirroring
 the graph side: slot permutation, product, trace of the last upper/lower
 pair, derivation prepending a lower slot.  The valuation maps noise
 generators to vector-field jets and the Christoffel generator to twice the
-Christoffel jet, evaluates each graph by contraction, and extends linearly:
+Christoffel jet, evaluates each graph by contraction (each distinct rooted
+subtree once per valuation), and extends linearly:
 a paired symbol is the sum over its labellings, each evaluated as it comes
 (nothing is merged or canonicalised first), added into one tensor jet.
 """
@@ -440,6 +441,17 @@ class Valuation:
     generator's slot symmetry declares: isomorphic labelled graphs then get
     equal values, so evaluating every labelling of a paired symbol gives
     the same jets as evaluating the merged canonical graphs.
+
+    Rooted trees share their subtrees: each distinct labelled subtree is
+    contracted once per ``Valuation``, and its (1,0) tensor jet is kept in a
+    memo under the key ``(type name, sorted((slot, child key), ...))``, each
+    child key interned to a small index.  The derivative count is the number
+    of children less the type's in-arity, so it is in the key.  Native slots
+    keep their slot order; the star children (slot 0) are ordered by their
+    keys, not by vertex index.  That is exact: a k-times derived generator
+    is symmetric in its star slots, because partials commute on exact jets.
+    Like the generator cache, the memo assumes that ``gamma`` and ``sigmas``
+    do not change after construction.
     """
 
     def __init__(self, gamma: TensorJet, sigmas):
@@ -448,6 +460,9 @@ class Valuation:
         self.d = gamma.d
         self.order = gamma.order
         self._generators = {}
+        # the subtree memo: key -> index, index -> (1,0) tensor jet
+        self._subtree_ids = {}
+        self._subtree_values = []
 
     def generator_tensor(self, name, k=0):
         """The jet of generator ``name`` derived k times, cached per (name, k).
@@ -484,23 +499,34 @@ class Valuation:
         return self._evaluate_decompose(g)
 
     def _evaluate_tree(self, g: XGraph) -> TensorJet:
-        # Every vertex has one output, so one parent: kids[v] lists
-        # (slot, child), sorted so the star slot 0 comes before the natives.
+        # Every vertex has one output, so one parent: kids[v] lists the
+        # (slot, child) pairs of v's inputs.
         kids = [[] for _ in g.types]
         for (v, _), dst in g.wiring.items():
             if dst[0] == "u":
                 root = v
             else:
                 kids[dst[0]].append((dst[1], v))
-        return self._tree_value(g, kids, root)
+        return self._subtree_values[self._subtree_index(g, kids, root)]
 
-    def _tree_value(self, g, kids, v):
+    def _subtree_index(self, g, kids, v):
+        """The memo index of the subtree rooted at v, valued on a miss."""
         t = g.types[v]
-        tens = self.generator_tensor(t.name, len(kids[v]) - t.in_arity)
-        # lower slots now: [stars..., natives...]; contract from the front
-        for _, w in sorted(kids[v]):
-            tens = tens.contract_lower(1, self._tree_value(g, kids, w))
-        return tens
+        slots = []
+        for s, w in kids[v]:
+            slots.append((s, self._subtree_index(g, kids, w)))
+        # (slot, child index), star slot 0 first; the stars in index order
+        slots = tuple(sorted(slots))
+        key = (t.name, slots)
+        i = self._subtree_ids.get(key)
+        if i is None:
+            tens = self.generator_tensor(t.name, len(slots) - t.in_arity)
+            # lower slots: [stars..., natives...]; contract from the front
+            for _, c in slots:
+                tens = tens.contract_lower(1, self._subtree_values[c])
+            i = self._subtree_ids[key] = len(self._subtree_values)
+            self._subtree_values.append(tens)
+        return i
 
     def _evaluate_decompose(self, g: XGraph) -> TensorJet:
         m, alpha, parts = decompose(g)

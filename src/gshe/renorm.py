@@ -250,8 +250,13 @@ def ou_loop_mc(N: int, n_steps=3000, burn=300, seed=0):
     in chunks: one draw per chunk (the same stream, in the same order, as
     one draw per step), the per-mode recurrence step by step, then one
     batched irfft and the two means per sample over the chunk.  Returns
-    (a2, a1, se2, se1) with batch-mean standard errors.
+    (a2, a1, se2, se1) with batch-mean standard errors over 20 batches, so
+    ``n_steps`` must be at least 20 and ``burn`` must not be negative.
     """
+    if n_steps < 20:
+        raise ValueError(f"n_steps must be at least 20, got {n_steps}")
+    if burn < 0:
+        raise ValueError(f"burn must not be negative, got {burn}")
     rng = np.random.default_rng(seed)
     eps = 1.0 / N
     half = N // 2
@@ -470,12 +475,15 @@ def she_simulate(cfg: SimConfig, modes=8, n_replicas=160):
     applied once at the end.  When the block loop's maximum-principle
     certificate cannot rule out a blow-up, the burn reruns step by step on
     the grid (``_grid_burn``), which raises StabilityError at the step that
-    blows up.  ``modes`` must lie in 1..N-1.  Returns a dict with
+    blows up.  ``modes`` must lie in 1..N-1 and ``n_replicas`` be at least 2
+    (the standard errors need two samples).  Returns a dict with
     'mode_var' [component, mode], 'se', and 'oracle'.
     """
     N = cfg.n_grid
     if not 1 <= modes < N:
         raise ValueError(f"modes must lie in 1..{N - 1}, got {modes}")
+    if n_replicas < 2:
+        raise ValueError(f"n_replicas must be at least 2, got {n_replicas}")
     dx = 2.0 * math.pi / N
     gain = _implicit_gain(N, cfg.dt)
     mix = cfg.sigma * (cfg.noise_scale * math.sqrt(cfg.dt / dx))

@@ -578,7 +578,8 @@ def test_parse_jet_reports_line_numbers(text, lineno):
 def ref_valuation(val, a):
     """The valuation as a merged loop: a paired term is first merged into
     the canonical combination of its labellings, each canonical term is
-    evaluated once, and the values are added as tensor jets."""
+    evaluated once, by a fresh ``Valuation`` so that no subtree memo is
+    shared with ``val``, and the values are added as tensor jets."""
     if isinstance(a, XGraph):
         a = LinComb.of(a)
     out = None
@@ -586,7 +587,7 @@ def ref_valuation(val, a):
         if g.pairing:
             t = ref_valuation(val, LinComb(iota_expand(g, len(val.sigmas))))
         else:
-            t = val.evaluate_graph(g)
+            t = Valuation(val.gamma, val.sigmas).evaluate_graph(g)
         t = c * t
         out = t if out is None else out + t
     if out is None:
@@ -635,6 +636,61 @@ def test_valuation_matches_merged_reference(rng):
         g = random_graph(rng, lgens, max_vertices=3, max_low=2)
         check(val, g)
         assert val(g) == val(LinComb.of(g))
+
+
+def jet_record(t):
+    """Everything a tensor jet holds, per-component orders included."""
+    return (t.degree, t.order,
+            {k: (j.nums, j.den, j.order) for k, j in t.comps.items()})
+
+
+@pytest.mark.parametrize("d, order", [(2, 3), (3, 2)])
+def test_warm_subtree_memo_matches_fresh_valuations(rng, d, order):
+    # One Valuation values every basis symbol in a shuffled order, so later
+    # symbols meet subtrees that earlier ones put in the memo.
+    gamma = random_gamma(rng, d, order)
+    sigmas = [random_vector_field(rng, d, order) for _ in range(2)]
+    basis = list(full_basis())
+    assert len(basis) == 54
+    rng.shuffle(basis)
+    warm = Valuation(gamma, sigmas)
+    for s in basis:
+        assert jet_record(warm(s)) \
+            == jet_record(Valuation(gamma, sigmas)(s)), s
+
+
+def test_memoised_tree_matches_decomposition(rng):
+    # Star children are contracted in memo-key order, not vertex order; a
+    # derived generator is symmetric in its star slots, so the contraction
+    # of the product tensor agrees.
+    d, order = 2, 4
+    val = Valuation(random_gamma(rng, d, order),
+                    [random_vector_field(rng, d, order) for _ in range(2)])
+    xi_1, xi_2 = labeled_noise(1), labeled_noise(2)
+    trees = [
+        # Gamma derived twice: stars xi_2 (with xi_1 grafted on) and xi_1,
+        # natives xi_2 and xi_1
+        ((GAMMA, xi_2, xi_1, xi_1, xi_2, xi_1),
+         {(0, 1): ("u", 1), (1, 1): (0, 0), (2, 1): (1, 0),
+          (3, 1): (0, 0), (4, 1): (0, 1), (5, 1): (0, 2)}),
+        # the same tree with its two star children numbered the other way
+        ((GAMMA, xi_1, xi_1, xi_2, xi_2, xi_1),
+         {(0, 1): ("u", 1), (1, 1): (0, 0), (2, 1): (3, 0),
+          (3, 1): (0, 0), (4, 1): (0, 1), (5, 1): (0, 2)}),
+        # xi_1 derived thrice, with equal and unequal star children
+        ((xi_1, xi_2, xi_2, xi_1),
+         {(0, 1): ("u", 1), (1, 1): (0, 0), (2, 1): (0, 0),
+          (3, 1): (0, 0)}),
+    ]
+    for types, wiring in trees:
+        assert sum(dst == (0, 0) for dst in wiring.values()) >= 2
+        g = XGraph(1, 0, types, wiring)
+        want = Valuation(val.gamma, val.sigmas)._evaluate_decompose(g)
+        assert want
+        for _ in range(2):  # cold, then warm
+            got = val.evaluate_graph(g)
+            assert got == want and tensors_agree(got, want)
+            assert (got.degree, got.order) == (want.degree, want.order)
 
 
 def test_two_output_vertices_evaluate(rng):

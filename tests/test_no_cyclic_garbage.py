@@ -10,8 +10,8 @@ import random
 
 from gshe.checks import suite_adjoint, suite_identities
 from gshe.jets import Valuation, random_gamma, random_vector_field
-from gshe.morphisms import tau_star
-from gshe.symbols import enumerate_basis
+from gshe.morphisms import tau_c, tau_star
+from gshe.symbols import GAMMA, enumerate_basis, full_basis
 
 
 def test_no_cyclic_garbage():
@@ -24,7 +24,14 @@ def test_no_cyclic_garbage():
         suite_identities(seed=3, cases=20)
         val = Valuation(random_gamma(rng, 2, 3),
                         [random_vector_field(rng, 2, 3) for _ in range(2)])
-        val(tau_star())
+        # the subtree memo, cold and then warm, holds only plain values
+        paired = next(s for s in full_basis()
+                      if any(t.name == GAMMA.name for t in s.types))
+        for _ in range(2):
+            for a in (tau_star(), tau_c(), paired):
+                val(a)
+        assert val._subtree_values
+        del val  # a cycle through the Valuation is garbage only once dropped
         assert gc.collect() == 0
     finally:
         gc.enable()

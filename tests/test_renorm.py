@@ -171,6 +171,19 @@ def test_ou_mc_matches_per_step_reference(args):
     assert ou_loop_mc(*args) == ref_ou_loop_mc(*args)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    # fewer steps than the 20 batch means leaves batches empty (nan errors)
+    ({"n_steps": 10, "burn": 3}, "n_steps must be at least 20, got 10"),
+    ({"n_steps": 19}, "n_steps must be at least 20, got 19"),
+    # a negative burn would leave rows of the sample arrays unwritten
+    ({"n_steps": 100, "burn": -5}, "burn must not be negative, got -5"),
+])
+def test_ou_mc_rejects_bad_sizes(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        ou_loop_mc(8, **kwargs)
+    assert np.isfinite(ou_loop_mc(8, n_steps=20, burn=0)).all()
+
+
 def test_flat_she_matches_oracle():
     cfg = SimConfig(n_grid=64, dim=2, n_noise=2, seed=5,
                     sigma=np.array([[1.0, 0.5], [0.0, 1.2]]))
@@ -308,6 +321,13 @@ def test_she_modes_within_grid():
         with pytest.raises(ValueError, match=r"modes must lie in 1\.\.7"):
             she_simulate(cfg, modes=modes, n_replicas=2)
     assert she_simulate(cfg, modes=7, n_replicas=2)["mode_var"].shape == (1, 7)
+
+
+@pytest.mark.parametrize("n_replicas", [-1, 0, 1])
+def test_she_needs_two_replicas(n_replicas):
+    # one replica has no standard error, none divides by zero
+    with pytest.raises(ValueError, match=f"at least 2, got {n_replicas}"):
+        she_simulate(SimConfig(n_grid=8), modes=2, n_replicas=n_replicas)
 
 
 @pytest.mark.parametrize("n", [48, 49, 64])
