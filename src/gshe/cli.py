@@ -330,9 +330,10 @@ def build_parser():
     q = sub.add_parser("sim", help="run a circle solver")
     q.add_argument("--target", choices=("flat", "sphere"), required=True)
     # The upper bounds keep every run short enough to finish: the flat burn
-    # takes about 1.27 n^2 steps of replicas * dim * n normals each, so with
-    # --n, --replicas and --dim at their bounds about 20,800 steps of 1e6
-    # normals, on the order of ten minutes on one core.
+    # takes about 1.27 n^2 steps and draws 2 top <= n normals per noise row
+    # and step, top = min(modes, n // 2), so with --n, --replicas, --dim and
+    # --modes at their bounds about 20,800 steps of 1e6 normals, on the order
+    # of ten minutes on one core.
     q.add_argument("--n", type=_int_in(2, 128), default=64,
                    help="grid points, 2..128")
     q.add_argument("--dim", type=_int_in(1, 8), default=2,

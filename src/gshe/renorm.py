@@ -12,11 +12,10 @@ Both circle solvers take implicit Euler heat steps in real Fourier
 modes: their fields are real, so a step multiplies the rfft coefficients
 k = 0..N//2 by 1 / (1 + dt lambda_k).  The sphere solver transforms back
 with irfft at length N after every step.  The flat solver is linear, so it
-never returns to the grid: per block of noise it computes only the recorded
-modes' DFT columns, weighted by their gains, in one real matmul where that
-costs less than a transform (few modes against many noise rows) and from
-one rfft otherwise, and advances them in closed form, unless its blow-up
-certificate fails and it reruns step by step on the grid.  Only the sphere solver's noise smoothing
+never forms a grid field: the rfft columns of white noise are independent
+Gaussians, so it draws each step's noise for the recorded modes only and
+advances them in closed form, and it rules out a blow-up from the
+configuration before it starts.  Only the sphere solver's noise smoothing
 still runs on complex transforms.
 """
 
@@ -347,19 +346,20 @@ class SimConfig:
             self.sigma = np.eye(self.dim, self.n_noise)
 
 
-def flat_mode_variance_oracle(cfg: SimConfig, k: int):
+def flat_mode_variance_oracle(cfg: SimConfig, k):
     """Exact stationary variance of Fourier mode k for the implicit scheme.
 
     Scheme: u^{n+1} = (u^n + sigma sqrt(dt/dx) eta) / (1 + dt lambda_k)
     modewise, so E|u_hat_k|^2 = N (dt/dx) a^2/(1-a^2) per unit sigma^2 with
     a = 1/(1 + dt lambda_k); multiply by (sigma sigma^T)_cc per component.
+    For an array of modes k the result is [component, mode].
     """
     N = cfg.n_grid
     dx = 2.0 * math.pi / N
     a = 1.0 / (1.0 + cfg.dt * laplacian_symbol(k, N))
     gain = cfg.dt / dx * N * a ** 2 / (1.0 - a ** 2)
     ssT = cfg.sigma @ cfg.sigma.T * cfg.noise_scale ** 2
-    return np.diag(ssT) * gain
+    return np.multiply.outer(np.diag(ssT), gain)
 
 
 def _implicit_gain(n, dt):
@@ -371,94 +371,57 @@ def _implicit_step(u, gain):
     """One implicit Euler heat step along the last axis of the real array u.
 
     Solves (1 + dt L) v = u modewise: real FFT, multiply by ``gain`` from
-    ``_implicit_gain``, inverse real FFT back to the grid length.  Products
-    here and in the caller are taken in place: a second temporary of this
-    size per step measurably slows the loop.
+    ``_implicit_gain``, inverse real FFT back to the grid length.  The
+    product is taken in place: a second temporary of this size per step
+    measurably slows the loop.
     """
     spec = np.fft.rfft(u, axis=-1)
     spec *= gain
     return np.fft.irfft(spec, n=u.shape[-1], axis=-1)
 
 
-# she_simulate raises StabilityError once a field leaves [-_BLOW_UP, _BLOW_UP].
+# she_simulate raises StabilityError when the stationary per-site standard
+# deviation exceeds _BLOW_UP / _BLOW_UP_SAFETY: a Gaussian field leaves ten
+# standard deviations with probability below 2e-23 per site and step.
 _BLOW_UP = 1e6
+_BLOW_UP_SAFETY = 10.0
 # Bytes of noise drawn at once by the flat solver's block loop; this fixes
 # the block length.  Larger blocks save little and raise the peak memory.
 _NOISE_BLOCK_BYTES = 1 << 20
 
 
-def _grid_burn(cfg, mix, gain, burn, n_replicas):
-    """The burn loop on the grid: per step, add the mixed noise and take one
-    implicit step.  Raises StabilityError at the first step whose field is
-    not finite or leaves [-_BLOW_UP, _BLOW_UP]; returns the final field."""
-    rng = np.random.default_rng(cfg.seed)
-    u = np.zeros((n_replicas, cfg.dim, cfg.n_grid))
-    for step in range(burn):
-        eta = rng.standard_normal((n_replicas, cfg.n_noise, cfg.n_grid))
-        forcing = mix @ eta
-        forcing += u
-        u = _implicit_step(forcing, gain)
-        if not np.isfinite(u).all() or np.abs(u).max() > _BLOW_UP:
-            raise StabilityError(f"blow-up at step {step}")
-    return u
-
-
-def _block_burn(cfg, mix, gain, burn, n_replicas, top):
-    """The same burn on rfft columns 1..top of the unmixed noise, in blocks.
+def _fourier_burn(cfg, gain, burn, n_replicas, top):
+    """The flat burn on rfft columns 1..top of the unmixed noise, in blocks.
 
     Returns the spectrum S [replica, noise, column] with mix @ S the final
-    field's columns, or None when the maximum-principle certificate cannot
-    rule out a blow-up.  Each block draws its steps' noise into one buffer
-    (the same stream, in the same order, as ``_grid_burn``) and advances
-    S <- g^k S + sum_j g^(k-j) F_j over its k steps.  The block's columns
-    F_j come from one rfft, or, where it pays, from one real matmul against
-    only the wanted DFT columns, cos | -sin for 1..top, with the weights
-    g^(k-j) folded in (FFT pruning: no other column is computed).  It pays
-    for 2 top <= n_replicas * n_noise, so that the matrix is no larger than
-    the noise buffer, and top <= 3 log2 N, below which the matmul's 2 top N
-    multiply-adds per noise row and step cost less than the transform.  The
-    certificate: (1 + dt L)^-1 is nonnegative with unit row sums, so
-    |u_n|_inf <= sum_{j<n} |mix|_inf max|eta_j|, which must stay below
-    _BLOW_UP / 2.
+    field's columns.  The rfft columns of N i.i.d. standard normals are
+    independent: for 0 < k < N/2 Re and Im are N(0, N/2), and the Nyquist
+    column k = N/2 is real and N(0, N).  So each step's recorded columns
+    F_j are drawn directly, exact in law, and no other column is made.  Each
+    block draws its k steps' normals into one buffer [step, row, re | im,
+    column] and advances S <- g^k S + sum_j g^(k-j) F_j.
     """
-    N, m = cfg.n_grid, cfg.n_noise
-    rows = n_replicas * m
+    N, rows = cfg.n_grid, n_replicas * cfg.n_noise
     rng = np.random.default_rng(cfg.seed)
     g = gain[1:top + 1]
-    block = min(burn, max(1, _NOISE_BLOCK_BYTES // (8 * N * rows)))
-    # row i holds g^(block - i): a block of k steps takes the last k rows
-    weights = g ** np.arange(block, 0, -1)[:, None]
-    if top <= min(rows / 2, 3 * math.log2(N)):
-        # angles 2 pi (n k mod N) / N are reduced exactly in the integers
-        phase = 2.0 * math.pi / N * (
-            np.outer(np.arange(N), np.arange(1, top + 1)) % N)
-        dft = np.concatenate([np.cos(phase), -np.sin(phase)], axis=1)
-        W = dft * np.tile(weights, 2)[:, None, :]
-
-        def columns(eta, k):
-            s = np.matmul(eta.reshape(k, rows, N), W[block - k:]).sum(axis=0)
-            return s[:, :top] + 1j * s[:, top:]
-    else:
-        def columns(eta, k):
-            return np.einsum("jrc,jc->rc", np.fft.rfft(
-                eta.reshape(k, rows, N), axis=-1)[..., 1:top + 1],
-                weights[block - k:])
-    buf = np.empty((block, n_replicas, m, N))
+    scale = np.full((2, top), math.sqrt(N / 2))
+    if 2 * top == N:
+        scale[:, -1] = math.sqrt(N), 0.0
+    block = min(burn, max(1, _NOISE_BLOCK_BYTES // (16 * top * rows)))
+    # row i holds the scaled g^(block - i): a block of k steps takes the
+    # last k rows
+    weights = scale * (g ** np.arange(block, 0, -1)[:, None])[:, None, :]
+    buf = np.empty((block, rows, 2, top))
     spec = np.zeros((rows, top), dtype=complex)
-    mix_norm = float(np.abs(mix).sum(axis=1).max())
-    bound = 0.0
     for start in range(0, burn, block):
         k = min(block, burn - start)
-        eta = buf[:k]
-        rng.standard_normal(out=eta)
-        steps = eta.reshape(k, -1)
-        bound += mix_norm * float(
-            np.maximum(steps.max(axis=1), -steps.min(axis=1)).sum())
-        if not bound <= _BLOW_UP / 2:
-            return None
+        draws = buf[:k]
+        rng.standard_normal(out=draws)
+        draws *= weights[block - k:, None]
+        cols = draws.sum(axis=0)
         spec *= g ** k
-        spec += columns(eta, k)
-    return spec.reshape(n_replicas, m, top)
+        spec += cols[:, 0] + 1j * cols[:, 1]
+    return spec.reshape(n_replicas, cfg.n_noise, top)
 
 
 def she_simulate(cfg: SimConfig, modes=8, n_replicas=160):
@@ -468,41 +431,41 @@ def she_simulate(cfg: SimConfig, modes=8, n_replicas=160):
     the slowest mode's relaxation time) and records one snapshot each, so the
     standard errors come from genuinely independent samples.  Each burn step
     adds the mixed noise sigma sqrt(dt/dx) eta and takes one implicit step.
-    The burn runs in blocks of noise (``_block_burn``): one real matmul (or,
-    for many modes or few noise rows, one rfft) per block computes the
-    recorded columns min(k, N - k), k = 1..modes, which advance in closed
-    form; the mixing by sigma commutes with the per-mode gains, so it is
-    applied once at the end.  When the block loop's maximum-principle
-    certificate cannot rule out a blow-up, the burn reruns step by step on
-    the grid (``_grid_burn``), which raises StabilityError at the step that
-    blows up.  ``modes`` must lie in 1..N-1 and ``n_replicas`` be at least 2
-    (the standard errors need two samples).  Returns a dict with
-    'mode_var' [component, mode], 'se', and 'oracle'.
+    The scheme is linear and diagonal in Fourier modes, so the burn
+    (``_fourier_burn``) draws each step's noise for the recorded columns
+    min(k, N - k), k = 1..modes, only, and advances them in closed form; the
+    mixing by sigma commutes with the per-mode gains, so it is applied once
+    at the end.  With no grid field to watch, a blow-up is decided from the
+    configuration: by Parseval the stationary per-site standard deviation of
+    component c is sqrt(sum_k oracle[c, k]) / N over k = 1..N-1, and
+    StabilityError is raised before the burn when it exceeds
+    _BLOW_UP / _BLOW_UP_SAFETY.  ``modes`` must lie in 1..N-1 and
+    ``n_replicas`` be at least 2 (the standard errors need two samples).
+    Returns a dict with 'mode_var' [component, mode], 'se', and 'oracle'.
     """
     N = cfg.n_grid
     if not 1 <= modes < N:
         raise ValueError(f"modes must lie in 1..{N - 1}, got {modes}")
     if n_replicas < 2:
         raise ValueError(f"n_replicas must be at least 2, got {n_replicas}")
+    oracle = flat_mode_variance_oracle(cfg, np.arange(1, N))
+    site_sd = float(np.sqrt(oracle.sum(axis=1)).max()) / N
+    limit = _BLOW_UP / _BLOW_UP_SAFETY
+    if not site_sd <= limit:
+        raise StabilityError(f"stationary site deviation {site_sd:.3g} "
+                             f"exceeds the blow-up limit {limit:.3g}")
     dx = 2.0 * math.pi / N
     gain = _implicit_gain(N, cfg.dt)
     mix = cfg.sigma * (cfg.noise_scale * math.sqrt(cfg.dt / dx))
     burn = max(cfg.burn, int(5.0 / (cfg.dt * laplacian_symbol(1, N))) + 1)
     top = min(modes, N // 2)
-    noise_spec = _block_burn(cfg, mix, gain, burn, n_replicas, top)
-    if noise_spec is None:
-        u = _grid_burn(cfg, mix, gain, burn, n_replicas)
-        spec = np.fft.rfft(u, axis=-1)[..., 1:top + 1]
-    else:
-        spec = mix @ noise_spec
+    spec = mix @ _fourier_burn(cfg, gain, burn, n_replicas, top)
     # a real field's mode N - k is the conjugate of its mode k
     k = np.arange(1, modes + 1)
     samples = np.abs(spec[..., np.minimum(k, N - k) - 1]) ** 2
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / math.sqrt(n_replicas)
-    oracle = np.array([flat_mode_variance_oracle(cfg, k)
-                       for k in range(1, modes + 1)]).T
-    return {"mode_var": mean, "se": se, "oracle": oracle}
+    return {"mode_var": mean, "se": se, "oracle": oracle[:, :modes]}
 
 
 def heat_decay_error(cfg: SimConfig, n_steps=200):
@@ -511,10 +474,11 @@ def heat_decay_error(cfg: SimConfig, n_steps=200):
     The scheme applied with no noise must reproduce the spectral solution of
     its own discrete operator, u_hat_k(n) = u_hat_k(0)/(1 + dt lambda_k)^n,
     to rounding accuracy.  The loop runs ``_implicit_step``, the real-FFT
-    step the sphere solver and the flat solver's grid rerun take, and the
-    closed form uses the full complex FFT, so this pins that step, including
-    its rfft layout.  The flat solver's block weights g^(k-j) are pinned by
-    the reference test in ``tests/test_renorm.py``.
+    step the sphere solver takes, and the closed form uses the full complex
+    FFT, so this pins that step, including its rfft layout.  The flat
+    solver's Fourier draws and block weights g^(k-j) are pinned by the
+    reference test in ``tests/test_renorm.py``, which runs a grid loop on
+    noise synthesised from the same draws.
     """
     N = cfg.n_grid
     x = 2.0 * math.pi * np.arange(N) / N

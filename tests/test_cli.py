@@ -142,7 +142,7 @@ def test_sim_flat(tmp_path):
 
 @pytest.mark.parametrize("args, digest", [
     (["--target", "flat", "--n", "16", "--modes", "4", "--replicas", "8"],
-     "6c5687d984a6142101723adc9f45fec21ee6bf15005906243b6444da34bb8be0"),
+     "39a8d5dc314cc1bbd96f204fd983b07967ece3218474e359210c37f08579a617"),
     (["--target", "sphere", "--n", "16", "--steps", "20"],
      "e96fd4f7e33988bbe7eee8411fb621b6403ef6cefc3129503a35b9089db2ab10"),
 ])

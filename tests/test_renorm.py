@@ -207,15 +207,30 @@ def test_flat_she_rotation_invariance():
 
 
 def ref_she_simulate(cfg: SimConfig, modes, n_replicas):
-    """Reference loop: full complex FFT round trip and an einsum forcing."""
+    """Reference loop on the grid: full complex FFT round trip and an einsum
+    forcing per step.
+
+    Its grid noise is the irfft of a white-noise spectrum whose columns
+    1..min(modes, N//2) are the solver's draws, taken from the same seeded
+    stream at once; column 0, the other columns and the imaginary parts the
+    solver does not draw come from a second generator.  Re and Im scale by
+    sqrt(N/2); the real columns 0 and N/2 scale by sqrt(N) = sqrt(2) sqrt(N/2).
+    """
     N, d, m = cfg.n_grid, cfg.dim, cfg.n_noise
     dx = 2.0 * math.pi / N
     denom = 1.0 + cfg.dt * periodic_laplacian(N)[1]
     burn = max(cfg.burn, int(5.0 / (cfg.dt * laplacian_symbol(1, N))) + 1)
-    rng = np.random.default_rng(cfg.seed)
+    top = min(modes, N // 2)
+    shape = (burn, n_replicas, m, 2, N // 2 + 1)
+    draws = np.random.default_rng(cfg.seed + 1000).standard_normal(shape)
+    draws[..., 1:top + 1] = np.random.default_rng(cfg.seed).standard_normal(
+        (burn, n_replicas * m, 2, top)).reshape(shape[:-1] + (top,))
+    white = (draws[..., 0, :] + 1j * draws[..., 1, :]) * math.sqrt(N / 2)
+    real_columns = [0, N // 2] if N % 2 == 0 else [0]
+    white[..., real_columns] = white[..., real_columns].real * math.sqrt(2)
+    noise = np.fft.irfft(white, n=N, axis=-1)
     u = np.zeros((n_replicas, d, N))
-    for _ in range(burn):
-        eta = rng.standard_normal((n_replicas, m, N))
+    for eta in noise:
         forcing = cfg.noise_scale * np.einsum("cm,rmn->rcn", cfg.sigma, eta) \
             * math.sqrt(cfg.dt / dx)
         u = np.real(np.fft.ifft(np.fft.fft(u + forcing, axis=2)
@@ -225,38 +240,29 @@ def ref_she_simulate(cfg: SimConfig, modes, n_replicas):
     return samples.mean(axis=0), se
 
 
-# grid, recorded modes, noise scale, steps per noise block (None: the
-# default byte budget) and whether the blow-up certificate fails, so the
-# grid loop reruns
+# grid, recorded modes and steps per noise block (None: the default byte
+# budget)
 SHE_REFERENCE_CASES = {
-    "8": (8, 7, 0.8, None, False),
-    "33": (33, 32, 0.8, None, False),
-    "49": (49, 48, 0.8, None, False),
-    "64": (64, 63, 0.8, None, False),
-    # the certificate's bound exceeds half the limit (for one noise it lies
-    # between half and all of it) while the field stays below a tenth of it
-    "8-rerun": (8, 7, 3e4, None, True),
+    "8": (8, 7, None),
+    "33": (33, 32, None),
+    "49": (49, 48, None),
+    "64": (64, 63, None),
     # the 18-step burn as blocks of 5, 5, 5 and 3 steps
-    "8-partial-block": (8, 7, 0.8, 5, False),
-    # fewer DFT columns than the rfft has
-    "16-three-modes": (16, 3, 0.8, None, False),
-    # 2 * 48 DFT columns against 3 * m noise rows: the matrix would outgrow
-    # the noise buffer, so every block takes an rfft
-    "96-all-modes": (96, 95, 0.8, None, False),
-    # the pruned DFT matmul over blocks of 5, 5, 5 and 3 steps
-    "8-one-mode-partial-block": (8, 1, 0.8, 5, False),
+    "8-partial-block": (8, 7, 5),
+    # fewer columns than the rfft has
+    "16-three-modes": (16, 3, None),
+    "96-all-modes": (96, 95, None),
+    # one column over blocks of 5, 5, 5 and 3 steps
+    "8-one-mode-partial-block": (8, 1, 5),
 }
 
 
 @pytest.mark.parametrize("case", SHE_REFERENCE_CASES)
 def test_she_matches_complex_fft_reference(case, monkeypatch):
-    # odd, even and non-power-of-two grids, modes above N//2, noise mixing
-    # with more components than noises; the largest dt keeps the burn short
-    n_grid, modes, noise_scale, block_steps, rerun = SHE_REFERENCE_CASES[case]
-    grid_burns = []
-    grid_burn = renorm._grid_burn
-    monkeypatch.setattr(renorm, "_grid_burn", lambda *args: (
-        grid_burns.append(args) or grid_burn(*args)))
+    # odd, even and non-power-of-two grids, modes above N//2 and the Nyquist
+    # column, noise mixing with more components than noises; the largest dt
+    # keeps the burn short.  The same draws, so equal to rounding.
+    n_grid, modes, block_steps = SHE_REFERENCE_CASES[case]
     th = 0.7
     rotated = np.array([[1.0, 0.5], [0.0, 1.2]]) @ np.array(
         [[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
@@ -266,10 +272,10 @@ def test_she_matches_complex_fft_reference(case, monkeypatch):
     for sigma in (np.eye(1), rotated, wide):
         d, m = sigma.shape
         if block_steps:
-            monkeypatch.setattr(renorm, "_NOISE_BLOCK_BYTES",
-                                block_steps * 8 * 3 * m * n_grid)
+            monkeypatch.setattr(renorm, "_NOISE_BLOCK_BYTES", block_steps
+                                * 16 * min(modes, n_grid // 2) * 3 * m)
         cfg = SimConfig(n_grid=n_grid, dt=dt, dim=d, n_noise=m, sigma=sigma,
-                        seed=n_grid + d, burn=1, noise_scale=noise_scale)
+                        seed=n_grid + d, burn=1, noise_scale=0.8)
         tracemalloc.start()
         try:
             res = she_simulate(cfg, modes=modes, n_replicas=3)
@@ -279,40 +285,20 @@ def test_she_matches_complex_fft_reference(case, monkeypatch):
         mean, se = ref_she_simulate(cfg, modes=modes, n_replicas=3)
         np.testing.assert_allclose(res["mode_var"], mean, rtol=1e-10)
         np.testing.assert_allclose(res["se"], se, rtol=1e-10)
-    assert len(grid_burns) == (3 if rerun else 0)
     if block_steps is None:
-        # the noise buffer and the DFT matrix each fit in the byte budget
+        # the noise buffer fits in the byte budget
         assert max(peaks) < 3 * renorm._NOISE_BLOCK_BYTES
 
 
-@pytest.mark.parametrize("n_grid, n_replicas, n_noise, top, pruned", [
-    (64, 160, 1, 8, True),     # the flat defaults
-    (64, 40, 1, 18, True),     # top = 3 log2 N
-    (64, 40, 1, 19, False),    # the matmul would cost more than the rfft
-    (64, 3, 2, 3, True),       # the matrix is as large as the noise buffer
-    (64, 3, 1, 2, False),      # it would be larger
-    (128, 2, 1, 64, False),
-])
-def test_block_burn_prunes_only_where_it_pays(n_grid, n_replicas, n_noise,
-                                              top, pruned, monkeypatch):
-    # the pruned matmul and the rfft give the same weighted noise columns
-    # sum_j g^(burn - j) F_j; which one runs is fixed by N, R m and top
-    rfft = np.fft.rfft
-    rffts = []
-    monkeypatch.setattr(np.fft, "rfft", lambda *args, **kw: (
-        rffts.append(args) or rfft(*args, **kw)))
-    cfg = SimConfig(n_grid=n_grid, dim=n_noise, n_noise=n_noise, seed=5)
-    gain = renorm._implicit_gain(n_grid, cfg.dt)
-    burn = 3
-    spec = renorm._block_burn(cfg, np.eye(n_noise), gain, burn, n_replicas,
-                              top)
-    assert (not rffts) == pruned
-    eta = np.random.default_rng(5).standard_normal(
-        (burn, n_replicas, n_noise, n_grid))
-    g = gain[1:top + 1]
-    ref = sum(g ** (burn - j) * rfft(eta[j], axis=-1)[..., 1:top + 1]
-              for j in range(burn))
-    np.testing.assert_allclose(spec, ref, rtol=1e-10, atol=1e-10)
+@pytest.mark.parametrize("n_grid", [16, 15])
+def test_flat_she_all_modes_match_oracle(n_grid):
+    # every column's scaling, the real Nyquist column N/2 of the even grid
+    # among them, against the exact per-mode variance
+    dt = 0.5 * (2.0 * math.pi / n_grid) ** 2
+    res = she_simulate(SimConfig(n_grid=n_grid, dt=dt, seed=0),
+                       modes=n_grid - 1, n_replicas=4000)
+    z = np.abs(res["mode_var"] - res["oracle"]) / res["se"]
+    assert float(z.max()) < 3.5
 
 
 def test_she_modes_within_grid():
@@ -354,11 +340,21 @@ def test_cfl_guard():
 
 
 def test_blow_up_guard():
-    with pytest.raises(StabilityError, match="blow-up at step 0"):
+    # the flat solver has no grid field to watch, so it decides a blow-up
+    # from the stationary per-site deviation before the burn
+    with pytest.raises(StabilityError, match="stationary site deviation "
+                       r"\S+ exceeds the blow-up limit 1e\+05"):
         she_simulate(SimConfig(n_grid=16, noise_scale=1e9), modes=2,
                      n_replicas=4)
     with pytest.raises(StabilityError, match="blew up"):
         sphere_simulate(n_grid=16, n_steps=5, noise_scale=1e9)
+
+
+@pytest.mark.parametrize("noise_scale", [1.0, 1e3])
+def test_blow_up_guard_passes_moderate_noise(noise_scale):
+    res = she_simulate(SimConfig(n_grid=64, noise_scale=noise_scale),
+                       modes=2, n_replicas=2)
+    assert np.isfinite(res["mode_var"]).all()
 
 
 def test_sphere_refinement():
