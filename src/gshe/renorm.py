@@ -8,15 +8,15 @@ additive stochastic heat equation on the circle checked against its exact
 per-mode variance, and the sphere-valued equation driven by the closest-point
 projection frame.
 
-Both circle solvers take implicit Euler heat steps in real Fourier
+Both circle solvers use the implicit Euler heat step in real Fourier
 modes: their fields are real, so a step multiplies the rfft coefficients
 k = 0..N//2 by 1 / (1 + dt lambda_k).  The sphere solver transforms back
 with irfft at length N after every step.  The flat solver is linear, so it
-never forms a grid field: the rfft columns of white noise are independent
-Gaussians, so it draws each step's noise for the recorded modes only and
-advances them in closed form, and it rules out a blow-up from the
-configuration before it starts.  Only the sphere solver's noise smoothing
-still runs on complex transforms.
+never forms a grid field and takes no time step: the rfft columns of white
+noise are independent Gaussians, so a snapshot's recorded modes are too,
+and it draws each one once from its exact law after the burn.  It rules out
+a blow-up from the configuration before it starts.  Only the sphere
+solver's noise smoothing still runs on complex transforms.
 """
 
 from __future__ import annotations
@@ -385,42 +385,31 @@ def _implicit_step(u, gain):
 # standard deviations with probability below 2e-23 per site and step.
 _BLOW_UP = 1e6
 _BLOW_UP_SAFETY = 10.0
-# Bytes of noise drawn at once by the flat solver's block loop; this fixes
-# the block length.  Larger blocks save little and raise the peak memory.
-_NOISE_BLOCK_BYTES = 1 << 20
 
 
 def _fourier_burn(cfg, gain, burn, n_replicas, top):
-    """The flat burn on rfft columns 1..top of the unmixed noise, in blocks.
+    """The flat burn on rfft columns 1..top of the unmixed noise, in law.
 
     Returns the spectrum S [replica, noise, column] with mix @ S the final
-    field's columns.  The rfft columns of N i.i.d. standard normals are
+    field's columns.  From the cold start, ``burn`` implicit steps leave
+    S = sum_{m=1..burn} g^m F_m, where F_m holds the rfft columns of the
+    m-th last step's N i.i.d. standard normals.  Those columns are
     independent: for 0 < k < N/2 Re and Im are N(0, N/2), and the Nyquist
-    column k = N/2 is real and N(0, N).  So each step's recorded columns
-    F_j are drawn directly, exact in law, and no other column is made.  Each
-    block draws its k steps' normals into one buffer [step, row, re | im,
-    column] and advances S <- g^k S + sum_j g^(k-j) F_j.
+    column k = N/2 is real and N(0, N).  So each part of S is exactly one
+    Gaussian of variance scale^2 g^2 (1 - g^(2 burn)) / (1 - g^2), drawn
+    directly: one normal per row, part and column, and no time loop.
     """
     N, rows = cfg.n_grid, n_replicas * cfg.n_noise
-    rng = np.random.default_rng(cfg.seed)
     g = gain[1:top + 1]
     scale = np.full((2, top), math.sqrt(N / 2))
     if 2 * top == N:
         scale[:, -1] = math.sqrt(N), 0.0
-    block = min(burn, max(1, _NOISE_BLOCK_BYTES // (16 * top * rows)))
-    # row i holds the scaled g^(block - i): a block of k steps takes the
-    # last k rows
-    weights = scale * (g ** np.arange(block, 0, -1)[:, None])[:, None, :]
-    buf = np.empty((block, rows, 2, top))
-    spec = np.zeros((rows, top), dtype=complex)
-    for start in range(0, burn, block):
-        k = min(block, burn - start)
-        draws = buf[:k]
-        rng.standard_normal(out=draws)
-        draws *= weights[block - k:, None]
-        cols = draws.sum(axis=0)
-        spec *= g ** k
-        spec += cols[:, 0] + 1j * cols[:, 1]
+    # the geometric sum by expm1, accurate for the slow modes' g near 1
+    scale *= g * np.sqrt(np.expm1(2 * burn * np.log(g))
+                         / np.expm1(2 * np.log(g)))
+    draws = np.random.default_rng(cfg.seed).standard_normal((rows, 2, top))
+    draws *= scale
+    spec = draws[:, 0] + 1j * draws[:, 1]
     return spec.reshape(n_replicas, cfg.n_noise, top)
 
 
@@ -431,14 +420,15 @@ def she_simulate(cfg: SimConfig, modes=8, n_replicas=160):
     the slowest mode's relaxation time) and records one snapshot each, so the
     standard errors come from genuinely independent samples.  Each burn step
     adds the mixed noise sigma sqrt(dt/dx) eta and takes one implicit step.
-    The scheme is linear and diagonal in Fourier modes, so the burn
-    (``_fourier_burn``) draws each step's noise for the recorded columns
-    min(k, N - k), k = 1..modes, only, and advances them in closed form; the
-    mixing by sigma commutes with the per-mode gains, so it is applied once
-    at the end.  With no grid field to watch, a blow-up is decided from the
+    The scheme is linear and diagonal in Fourier modes, so a snapshot's
+    recorded columns min(k, N - k), k = 1..modes, are Gaussian with a
+    variance known in closed form for the finite burn, and the burn
+    (``_fourier_burn``) draws them directly instead of stepping; the mixing
+    by sigma commutes with the per-mode gains, so it is applied once at the
+    end.  With no grid field to watch, a blow-up is decided from the
     configuration: by Parseval the stationary per-site standard deviation of
     component c is sqrt(sum_k oracle[c, k]) / N over k = 1..N-1, and
-    StabilityError is raised before the burn when it exceeds
+    StabilityError is raised before drawing when it exceeds
     _BLOW_UP / _BLOW_UP_SAFETY.  ``modes`` must lie in 1..N-1 and
     ``n_replicas`` be at least 2 (the standard errors need two samples).
     Returns a dict with 'mode_var' [component, mode], 'se', and 'oracle'.
@@ -476,9 +466,9 @@ def heat_decay_error(cfg: SimConfig, n_steps=200):
     to rounding accuracy.  The loop runs ``_implicit_step``, the real-FFT
     step the sphere solver takes, and the closed form uses the full complex
     FFT, so this pins that step, including its rfft layout.  The flat
-    solver's Fourier draws and block weights g^(k-j) are pinned by the
-    reference test in ``tests/test_renorm.py``, which runs a grid loop on
-    noise synthesised from the same draws.
+    solver's closed-form law is pinned by the reference test in
+    ``tests/test_renorm.py``, which sums the burn's grid covariance with
+    the dense circulant inverse of the implicit step, no transform taken.
     """
     N = cfg.n_grid
     x = 2.0 * math.pi * np.arange(N) / N

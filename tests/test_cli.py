@@ -3,8 +3,11 @@ import importlib.util
 import os
 import subprocess
 import sys
+import time
 
 import pytest
+
+from gshe.cli import main
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -142,7 +145,7 @@ def test_sim_flat(tmp_path):
 
 @pytest.mark.parametrize("args, digest", [
     (["--target", "flat", "--n", "16", "--modes", "4", "--replicas", "8"],
-     "39a8d5dc314cc1bbd96f204fd983b07967ece3218474e359210c37f08579a617"),
+     "053de807a7ec071b70f22b37a62b99c2f96ddeeef307f0067ffac4cc3416d4a9"),
     (["--target", "sphere", "--n", "16", "--steps", "20"],
      "e96fd4f7e33988bbe7eee8411fb621b6403ef6cefc3129503a35b9089db2ab10"),
 ])
@@ -178,6 +181,40 @@ def test_sim_sphere_blow_up_is_reported(tmp_path):
     assert "Traceback" not in r.stderr
     assert "gshe: sim: sphere run blew up at step 0" in r.stderr
     assert not out.exists()
+
+
+def test_sim_flat_blow_up_is_reported(tmp_path):
+    out = tmp_path / "modes.csv"
+    r = run_cli("sim", "--target", "flat", "--n", "16", "--modes", "2",
+                "--replicas", "4", "--noise", "1e9", "--out", str(out))
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert "gshe: sim: stationary site deviation" in r.stderr
+    assert not out.exists()
+
+
+def test_sim_flat_zero_noise_passes(tmp_path):
+    # variance and oracle are both 0: an exact match, not a failure
+    out = tmp_path / "modes.csv"
+    r = run_cli("sim", "--target", "flat", "--n", "16", "--modes", "8",
+                "--replicas", "4", "--noise", "0", "--out", str(out))
+    assert r.returncode == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 16
+    assert all(row.endswith(",0.0000,0.0000,0.0000,PASS") for row in rows)
+
+
+def test_sim_flat_largest_run_is_bounded(tmp_path):
+    # every size flag at its bound: the snapshot is drawn in one go, so the
+    # run takes well under a second on a two-core box
+    out = tmp_path / "modes.csv"
+    start = time.perf_counter()
+    status = main(["sim", "--target", "flat", "--n", "128", "--dim", "8",
+                   "--replicas", "1000", "--modes", "127", "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    assert status in (0, 1)
+    assert len(out.read_text().splitlines()) == 1 + 127 * 8
+    assert elapsed <= 10.0
 
 
 def test_sim_sphere(tmp_path):

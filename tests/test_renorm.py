@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,54 +205,67 @@ def test_flat_she_rotation_invariance():
     assert float(z.max()) < 3.5
 
 
-def ref_she_simulate(cfg: SimConfig, modes, n_replicas):
-    """Reference loop on the grid: full complex FFT round trip and an einsum
-    forcing per step.
+def grid_mode_variance(cfg: SimConfig, modes):
+    """Reference E|u_hat_k|^2 [component, mode] from the burn's grid
+    covariance, with no Fourier transform of a field.
 
-    Its grid noise is the irfft of a white-noise spectrum whose columns
-    1..min(modes, N//2) are the solver's draws, taken from the same seeded
-    stream at once; column 0, the other columns and the imaginary parts the
-    solver does not draw come from a second generator.  Re and Im scale by
-    sqrt(N/2); the real columns 0 and N/2 scale by sqrt(N) = sqrt(2) sqrt(N/2).
+    The implicit step is the dense circulant A = (I + dt L)^-1 of the
+    three-point stencil, so the cold-start burn leaves the grid covariance
+    K = (dt/dx) sum_{m=1..burn} A^m A^mT per unit noise, summed here by
+    doubling; mode k's second moment is (F K F*)_kk with F the DFT matrix,
+    times (sigma sigma^T)_cc noise_scale^2.
     """
-    N, d, m = cfg.n_grid, cfg.dim, cfg.n_noise
+    N = cfg.n_grid
     dx = 2.0 * math.pi / N
-    denom = 1.0 + cfg.dt * periodic_laplacian(N)[1]
+    eye = np.eye(N)
+    shift = np.roll(eye, 1, axis=1)
+    lap = (2.0 * eye - shift - shift.T) / dx ** 2
+    step = np.linalg.inv(eye + cfg.dt * lap)
+    square = step @ step.T
     burn = max(cfg.burn, int(5.0 / (cfg.dt * laplacian_symbol(1, N))) + 1)
-    top = min(modes, N // 2)
-    shape = (burn, n_replicas, m, 2, N // 2 + 1)
-    draws = np.random.default_rng(cfg.seed + 1000).standard_normal(shape)
-    draws[..., 1:top + 1] = np.random.default_rng(cfg.seed).standard_normal(
-        (burn, n_replicas * m, 2, top)).reshape(shape[:-1] + (top,))
-    white = (draws[..., 0, :] + 1j * draws[..., 1, :]) * math.sqrt(N / 2)
-    real_columns = [0, N // 2] if N % 2 == 0 else [0]
-    white[..., real_columns] = white[..., real_columns].real * math.sqrt(2)
-    noise = np.fft.irfft(white, n=N, axis=-1)
-    u = np.zeros((n_replicas, d, N))
-    for eta in noise:
-        forcing = cfg.noise_scale * np.einsum("cm,rmn->rcn", cfg.sigma, eta) \
-            * math.sqrt(cfg.dt / dx)
-        u = np.real(np.fft.ifft(np.fft.fft(u + forcing, axis=2)
-                                / denom[None, None, :], axis=2))
-    samples = np.abs(np.fft.fft(u, axis=2)[:, :, 1:modes + 1]) ** 2
-    se = samples.std(axis=0, ddof=1) / math.sqrt(n_replicas)
-    return samples.mean(axis=0), se
+    # total = sum_{m=1..n} square^m and power = square^n, while n runs
+    # through the leading bits of burn
+    total, power = np.zeros((N, N)), eye
+    for bit in bin(burn)[2:]:
+        total = total + power @ total
+        power = power @ power
+        if bit == "1":
+            power = power @ square
+            total = total + power
+    cov = cfg.dt / dx * total
+    dft = np.exp(-2j * math.pi * np.outer(np.arange(1, modes + 1),
+                                          np.arange(N)) / N)
+    per_mode = np.einsum("kn,nm,km->k", dft, cov, dft.conj()).real
+    ssT = np.diag(cfg.sigma @ cfg.sigma.T) * cfg.noise_scale ** 2
+    return np.multiply.outer(ssT, per_mode)
 
 
-# grid, recorded modes and steps per noise block (None: the default byte
-# budget)
+class DesignNoise:
+    """A stand-in for the solver's generator whose normals average to their
+    moments exactly.  Its rows are [replica, noise] over two replicas and
+    hold the columns of a 2 x 2 Hadamard matrix, so over the replicas every
+    noise has mean square 1 and two noises have mean product 0; the replica
+    mean of |u_hat_k|^2 is then the solver's expected value, to rounding."""
+
+    def __init__(self, seed):
+        pass
+
+    def standard_normal(self, shape):
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]])
+        rows = hadamard[:, :shape[0] // 2].reshape(shape[0], 1, 1)
+        return np.broadcast_to(rows, shape).copy()
+
+
+# grid and recorded modes
 SHE_REFERENCE_CASES = {
-    "8": (8, 7, None),
-    "33": (33, 32, None),
-    "49": (49, 48, None),
-    "64": (64, 63, None),
-    # the 18-step burn as blocks of 5, 5, 5 and 3 steps
-    "8-partial-block": (8, 7, 5),
+    "8": (8, 7),
+    "33": (33, 32),
+    "49": (49, 48),
+    "64": (64, 63),
     # fewer columns than the rfft has
-    "16-three-modes": (16, 3, None),
-    "96-all-modes": (96, 95, None),
-    # one column over blocks of 5, 5, 5 and 3 steps
-    "8-one-mode-partial-block": (8, 1, 5),
+    "16-three-modes": (16, 3),
+    "96-all-modes": (96, 95),
+    "8-one-mode": (8, 1),
 }
 
 
@@ -261,33 +273,22 @@ SHE_REFERENCE_CASES = {
 def test_she_matches_complex_fft_reference(case, monkeypatch):
     # odd, even and non-power-of-two grids, modes above N//2 and the Nyquist
     # column, noise mixing with more components than noises; the largest dt
-    # keeps the burn short.  The same draws, so equal to rounding.
-    n_grid, modes, block_steps = SHE_REFERENCE_CASES[case]
+    # keeps the burn short, so its finite length shows: the slowest mode is
+    # a factor 1 - g^(2 burn), 1 - 1e-4 to 1 - 5e-5, below stationary
+    n_grid, modes = SHE_REFERENCE_CASES[case]
     th = 0.7
     rotated = np.array([[1.0, 0.5], [0.0, 1.2]]) @ np.array(
         [[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
     wide = np.array([[1.0, 0.5], [0.2, 1.2], [-0.7, 0.3]])
     dt = 0.5 * (2.0 * math.pi / n_grid) ** 2
-    peaks = []
+    monkeypatch.setattr(np.random, "default_rng", DesignNoise)
     for sigma in (np.eye(1), rotated, wide):
         d, m = sigma.shape
-        if block_steps:
-            monkeypatch.setattr(renorm, "_NOISE_BLOCK_BYTES", block_steps
-                                * 16 * min(modes, n_grid // 2) * 3 * m)
         cfg = SimConfig(n_grid=n_grid, dt=dt, dim=d, n_noise=m, sigma=sigma,
-                        seed=n_grid + d, burn=1, noise_scale=0.8)
-        tracemalloc.start()
-        try:
-            res = she_simulate(cfg, modes=modes, n_replicas=3)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        mean, se = ref_she_simulate(cfg, modes=modes, n_replicas=3)
-        np.testing.assert_allclose(res["mode_var"], mean, rtol=1e-10)
-        np.testing.assert_allclose(res["se"], se, rtol=1e-10)
-    if block_steps is None:
-        # the noise buffer fits in the byte budget
-        assert max(peaks) < 3 * renorm._NOISE_BLOCK_BYTES
+                        burn=1, noise_scale=0.8)
+        res = she_simulate(cfg, modes=modes, n_replicas=2)
+        np.testing.assert_allclose(res["mode_var"],
+                                   grid_mode_variance(cfg, modes), rtol=1e-10)
 
 
 @pytest.mark.parametrize("n_grid", [16, 15])
@@ -299,6 +300,13 @@ def test_flat_she_all_modes_match_oracle(n_grid):
                        modes=n_grid - 1, n_replicas=4000)
     z = np.abs(res["mode_var"] - res["oracle"]) / res["se"]
     assert float(z.max()) < 3.5
+    # |u_hat_k|^2 is exponential, but chi-square with one degree of freedom,
+    # of twice the variance, at the real Nyquist column: the second moments
+    # alone cannot tell a real column from a complex one of equal variance
+    k = np.arange(1, n_grid)
+    spread = np.where(2 * k == n_grid, 2.0, 1.0)
+    np.testing.assert_allclose(res["se"], res["oracle"]
+                               * np.sqrt(spread / 4000), rtol=0.15)
 
 
 def test_she_modes_within_grid():
@@ -348,6 +356,16 @@ def test_blow_up_guard():
                      n_replicas=4)
     with pytest.raises(StabilityError, match="blew up"):
         sphere_simulate(n_grid=16, n_steps=5, noise_scale=1e9)
+
+
+def test_flat_she_noise_scale_keeps_the_draws():
+    # the noise scale enters through the mixing only, so the same seed gives
+    # the same draws and every second moment scales by its square, exactly
+    runs = [she_simulate(SimConfig(n_grid=32, dim=2, n_noise=2, seed=4,
+                                   noise_scale=scale), modes=5, n_replicas=10)
+            for scale in (1.0, 2.0)]
+    for key in ("mode_var", "se", "oracle"):
+        assert np.array_equal(runs[1][key], 4 * runs[0][key])
 
 
 @pytest.mark.parametrize("noise_scale", [1.0, 1e3])
