@@ -192,10 +192,10 @@ def cmd_sim(args):
                  f"{se[c, k]:.4f}", _verdict(within(c, k)))
                 for k in range(args.modes) for c in range(args.dim)]
         return _emit(rows, "mode,component,variance,oracle,stderr,status",
-                     args.out or "modes.csv")
+                     args.out)
     rows = [(f"{t:.5f}", f"{x:.5f}", f"{u1:.6f}", f"{u2:.6f}", f"{u3:.6f}")
             for t, x, u1, u2, u3 in res["snapshots"]]
-    failed = _emit(rows, "t,x,u1,u2,u3", args.out or "sphere_snapshots.csv")
+    failed = _emit(rows, "t,x,u1,u2,u3", args.out)
     print(f"max ||u|-1| = {res['max_dist']:.3e}; "
           f"lengths {res['lengths'][0]:.4f} -> {res['lengths'][-1]:.4f}",
           file=sys.stderr)

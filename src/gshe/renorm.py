@@ -8,14 +8,12 @@ additive stochastic heat equation on the circle checked against its exact
 per-mode variance, and the sphere-valued equation driven by the closest-point
 projection frame.
 
-Both circle solvers use the implicit Euler heat step in real Fourier
-modes: their fields are real, so a step multiplies the rfft coefficients
-k = 0..N//2 by 1 / (1 + dt lambda_k).  The sphere solver transforms back
-with irfft at length N after every step.  The flat solver is linear, so it
-never forms a grid field and takes no time step: the rfft columns of white
-noise are independent Gaussians, so a snapshot's recorded modes are too,
-and it draws each one once from its exact law after the burn.  It rules out
-a blow-up from the configuration before it starts.  Only the sphere
+The circle fields are real, so the solvers work on rfft columns
+k = 0..N//2, where an implicit Euler heat step multiplies by
+1 / (1 + dt lambda_k).  The sphere solver steps in time.  The flat solver
+is linear and takes no time step: it draws each recorded column once from
+its exact law after the burn, and the loop Monte Carlo draws independent
+stationary spectra, both through ``_spectral_gaussian``.  Only the sphere
 solver's noise smoothing still runs on complex transforms.
 """
 
@@ -23,11 +21,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 SQRT3 = math.sqrt(3.0)
 K3_SLOPE = 1.0 / (2.0 * SQRT3 * math.pi)
+
+
+@lru_cache
+def _leggauss(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def heat_kernel(t, x):
@@ -77,7 +84,7 @@ class Mollifier:
         The profile q_eps(s) = eps^-2 q(s / eps^2) integrates to one; the
         default mollifier is separable so rho_eps = q_eps(s) w_eps(y).
         """
-        si, sw = np.polynomial.legendre.leggauss(n)
+        si, sw = _leggauss(n)
         ss = (si + 1) / 2 * self.t_support * eps ** 2
         sws = sw * self.t_support * eps ** 2 / 2
         q = (ss / (eps ** 2 * self.t_support)
@@ -89,7 +96,7 @@ class Mollifier:
 
     def spatial_hat(self, xi):
         """Fourier cosine transform of the unit-mass spatial profile."""
-        yi, yw = np.polynomial.legendre.leggauss(96)
+        yi, yw = _leggauss(96)
         ys = yi * self.x_support
         w = (1 - (ys / self.x_support) ** 2) ** self.power
         w_mass = float(w @ (yw * self.x_support))
@@ -129,7 +136,7 @@ def cbar_estimate(rho: Mollifier, eps: float, xi_nodes=200, s_nodes=32,
         arg = np.where(ss[None, :, None] < ts[:, None, None], arg, -np.inf)
         return np.sum(np.exp(arg) * sq[None, :, None], axis=1)
 
-    ti, tw = np.polynomial.legendre.leggauss(t_nodes)
+    ti, tw = _leggauss(t_nodes)
     ts_head = (ti + 1) / 2 * T
     tw_head = tw * T / 2
     A_head = A(ts_head)
@@ -144,7 +151,7 @@ def p3_identity(t: float, nodes=400):
     """int P^3(t, x) dx times 4 sqrt(3) pi t; exactly 1 in the limit."""
     if t <= 0:
         raise ValueError("t must be positive")
-    xi, xw = np.polynomial.legendre.leggauss(nodes)
+    xi, xw = _leggauss(nodes)
     scale = 10.0 * math.sqrt(t)
     xs = xi * scale
     ws = xw * scale
@@ -172,8 +179,7 @@ def k3_integral(rho: Mollifier, eps: float, radius=1.0, t_nodes=220,
     K_eps(t,x) = eps K(eps^2 t, eps x) concentrates the log-divergent window
     into t in [1, eps^-2]; convolution happens at unit mollifier scale.
     """
-    st, wt = np.polynomial.legendre.leggauss(quad_nodes)
-    sx, wx = np.polynomial.legendre.leggauss(quad_nodes)
+    st, wt = sx, wx = _leggauss(quad_nodes)
     ms = (st + 1) / 2 * rho.t_support
     mx = sx * rho.x_support
     mw = np.outer(wt * rho.t_support / 2, wx * rho.x_support)
@@ -185,7 +191,7 @@ def k3_integral(rho: Mollifier, eps: float, radius=1.0, t_nodes=220,
     ts = np.geomspace(t_lo, t_hi, t_nodes)
     t_edges = np.concatenate(([t_lo], np.sqrt(ts[1:] * ts[:-1]), [t_hi]))
     t_w = np.diff(t_edges)
-    xi, xw = np.polynomial.legendre.leggauss(x_nodes)
+    xi, xw = _leggauss(x_nodes)
     total = 0.0
     for t, wt_ in zip(ts, t_w):
         scale = 6.0 * math.sqrt(t) + 3.0
@@ -213,10 +219,16 @@ def k3_log_slope(rho: Mollifier, eps_list, **kw):
 
 # -- discrete loop covariance ---------------------------------------------------
 
-# Steps of ou_loop_mc's noise drawn and transformed at once.  Larger chunks
-# are no faster and raise the peak memory: all 3,300 steps of a default run
-# at once add about 8 MB.
-_OU_CHUNK_STEPS = 256
+def _spectral_gaussian(rng, shape, k, n, var):
+    """Independent rfft columns k [..., column] of a real Gaussian field on
+    n points with E|z_k|^2 = var_k, from one standard normal draw [..., re |
+    im, column]: Re and Im are N(0, var_k / 2), but at the real columns
+    2k = 0 (mod n), the mean and Nyquist ones, Re is N(0, var_k) and Im 0.
+    """
+    draws = rng.standard_normal(shape + (2, len(k)))
+    part_var = np.where((2 * k) % n == 0, [[1.0], [0.0]], 0.5) * var
+    draws *= np.sqrt(part_var)
+    return draws[..., 0, :] + 1j * draws[..., 1, :]
 
 
 def ou_loop_covariance(N: int):
@@ -240,70 +252,31 @@ def ou_loop_covariance(N: int):
     return a2, a1
 
 
-def ou_loop_mc(N: int, n_steps=3000, burn=300, seed=0):
-    """Monte-Carlo estimate of the same statistics via exact per-mode OU steps.
+def ou_loop_mc(N: int, n_samples=3000, seed=0):
+    """Monte-Carlo estimate of the same statistics from independent samples.
 
-    Uses the real FFT layout: the DFT of the site-wise system diagonalises
-    into independent complex OU modes with stationary E|u_hat_k|^2 =
-    N eps / (2 - 2 cos theta_k); mode zero is projected out.  The steps run
-    in chunks: one draw per chunk (the same stream, in the same order, as
-    one draw per step), the per-mode recurrence step by step, then one
-    batched irfft and the two means per sample over the chunk.  Returns
-    (a2, a1, se2, se1) with batch-mean standard errors over 20 batches, so
-    ``n_steps`` must be at least 20 and ``burn`` must not be negative.
+    The DFT diagonalises the system into independent OU modes, so each
+    sample is one stationary spectrum drawn directly, E|u_hat_k|^2 =
+    N eps / (2 - 2 cos theta_k) with mode zero projected out: no time step,
+    no burn.  Returns (a2, a1, se2, se1) with the samples' plain standard
+    errors; needs N >= 8 and n_samples >= 2.
     """
-    if n_steps < 20:
-        raise ValueError(f"n_steps must be at least 20, got {n_steps}")
-    if burn < 0:
-        raise ValueError(f"burn must not be negative, got {burn}")
-    rng = np.random.default_rng(seed)
+    if N < 8:
+        raise ValueError("need N >= 8")
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     eps = 1.0 / N
-    half = N // 2
-    k = np.arange(half + 1)
-    theta = 2.0 * math.pi * k / N
-    lam = np.where(k > 0, (2.0 - 2.0 * np.cos(theta)) / eps ** 2, 1.0)
-    stat = np.where(k > 0, N * eps / np.maximum(2.0 - 2.0 * np.cos(theta), 1e-300), 0.0)
-    dt = 0.25 * eps ** 2
-    decay = np.exp(-lam * dt)
-    step_var = stat * (1.0 - decay ** 2)
-    real_mode = np.zeros(half + 1, dtype=bool)
-    real_mode[0] = True
-    if N % 2 == 0:
-        real_mode[half] = True
-
-    def complex_noise(draws, var):
-        # draws [..., re | im, mode]
-        re, im = draws[..., 0, :], draws[..., 1, :]
-        return np.where(real_mode, re * np.sqrt(var),
-                        (re + 1j * im) * np.sqrt(var / 2.0))
-
-    z = complex_noise(rng.standard_normal((2, half + 1)), stat)
-    z[0] = 0.0
-    total = n_steps + burn
-    zs = np.empty((min(_OU_CHUNK_STEPS, total), half + 1), dtype=complex)
-    samples2, samples1 = np.empty(n_steps), np.empty(n_steps)
-    for start in range(0, total, _OU_CHUNK_STEPS):
-        c = min(_OU_CHUNK_STEPS, total - start)
-        noise = complex_noise(rng.standard_normal((c, 2, half + 1)),
-                              step_var)
-        # with z[0] = 0 this keeps mode zero projected out
-        noise[:, 0] = 0.0
-        for i in range(c):
-            z = zs[i] = decay * z + noise[i]
-        lo = max(0, burn - start)
-        if lo < c:
-            u = np.fft.irfft(zs[lo:c], n=N, axis=-1)
-            du = np.roll(u, -1, axis=-1) - u
-            rows = slice(start + lo - burn, start + c - burn)
-            samples2[rows] = np.mean(du * du, axis=-1) / eps
-            samples1[rows] = np.mean(u * du, axis=-1) / eps
-    a2, a1 = float(np.mean(samples2)), float(np.mean(samples1))
-    nb = 20
-    se2 = float(np.std([np.mean(b) for b in np.array_split(samples2, nb)],
-                       ddof=1) / math.sqrt(nb))
-    se1 = float(np.std([np.mean(b) for b in np.array_split(samples1, nb)],
-                       ddof=1) / math.sqrt(nb))
-    return a2, a1, se2, se1
+    k = np.arange(N // 2 + 1)
+    theta = 2.0 * math.pi * k[1:] / N
+    var = np.concatenate(([0.0], N * eps / (2.0 - 2.0 * np.cos(theta))))
+    rng = np.random.default_rng(seed)
+    u = np.fft.irfft(_spectral_gaussian(rng, (n_samples,), k, N, var), n=N)
+    du = np.roll(u, -1, axis=-1) - u
+    samples = np.array([np.mean(du * du, axis=-1),
+                        np.mean(u * du, axis=-1)]) / eps
+    a2, a1 = samples.mean(axis=1)
+    se2, se1 = samples.std(axis=1, ddof=1) / math.sqrt(n_samples)
+    return float(a2), float(a1), float(se2), float(se1)
 
 
 # -- circle SPDE solvers ---------------------------------------------------------
@@ -393,23 +366,16 @@ def _fourier_burn(cfg, gain, burn, n_replicas, top):
     Returns the spectrum S [replica, noise, column] with mix @ S the final
     field's columns.  From the cold start, ``burn`` implicit steps leave
     S = sum_{m=1..burn} g^m F_m, where F_m holds the rfft columns of the
-    m-th last step's N i.i.d. standard normals.  Those columns are
-    independent: for 0 < k < N/2 Re and Im are N(0, N/2), and the Nyquist
-    column k = N/2 is real and N(0, N).  So each part of S is exactly one
-    Gaussian of variance scale^2 g^2 (1 - g^(2 burn)) / (1 - g^2), drawn
-    directly: one normal per row, part and column, and no time loop.
+    m-th last step's N i.i.d. standard normals: independent, E|F_k|^2 = N.
+    So S is drawn directly, E|S_k|^2 = N g^2 (1 - g^(2 burn)) / (1 - g^2).
     """
-    N, rows = cfg.n_grid, n_replicas * cfg.n_noise
-    g = gain[1:top + 1]
-    scale = np.full((2, top), math.sqrt(N / 2))
-    if 2 * top == N:
-        scale[:, -1] = math.sqrt(N), 0.0
+    N, k = cfg.n_grid, np.arange(1, top + 1)
+    g = gain[k]
     # the geometric sum by expm1, accurate for the slow modes' g near 1
-    scale *= g * np.sqrt(np.expm1(2 * burn * np.log(g))
-                         / np.expm1(2 * np.log(g)))
-    draws = np.random.default_rng(cfg.seed).standard_normal((rows, 2, top))
-    draws *= scale
-    spec = draws[:, 0] + 1j * draws[:, 1]
+    var = N * g ** 2 * (np.expm1(2 * burn * np.log(g))
+                        / np.expm1(2 * np.log(g)))
+    rng = np.random.default_rng(cfg.seed)
+    spec = _spectral_gaussian(rng, (n_replicas * cfg.n_noise,), k, N, var)
     return spec.reshape(n_replicas, cfg.n_noise, top)
 
 
@@ -466,9 +432,8 @@ def heat_decay_error(cfg: SimConfig, n_steps=200):
     to rounding accuracy.  The loop runs ``_implicit_step``, the real-FFT
     step the sphere solver takes, and the closed form uses the full complex
     FFT, so this pins that step, including its rfft layout.  The flat
-    solver's closed-form law is pinned by the reference test in
-    ``tests/test_renorm.py``, which sums the burn's grid covariance with
-    the dense circulant inverse of the implicit step, no transform taken.
+    solver's law is pinned against the burn's grid covariance in
+    ``tests/test_renorm.py``.
     """
     N = cfg.n_grid
     x = 2.0 * math.pi * np.arange(N) / N

@@ -235,7 +235,7 @@ def test_criterion_7_discrete_loop():
 
     a2, a1 = ou_loop_covariance(256)
     ok = 0.98 <= a2 <= 1.02 and -0.52 <= a1 <= -0.48
-    a2m, a1m, se2, se1 = ou_loop_mc(64, n_steps=2000, burn=300, seed=3)
+    a2m, a1m, se2, se1 = ou_loop_mc(64, n_samples=2000, seed=3)
     a2e, a1e = ou_loop_covariance(64)
     ok &= abs(a2m - a2e) < 3 * se2 and abs(a1m - a1e) < 3 * se1
     _report("criterion 7: discrete loop covariance (1, -1/2) and MC within "

@@ -45,6 +45,10 @@ def test_dims_contains_dim_s_row(tmp_path):
      "6534991996d6a8caa4327b17a913cfc0ed502df6d6e3a241f748d39d686f1868"),
     (["dims"],
      "af9da8a3e6a38630e887b4d6a87c8f25c84c75f3ee68069698d6906261062527"),
+    (["constants"],
+     "f3794c440c4bc428be98c5839b17b7cba1270e7f9adaf159c47ea9f0d95ce893"),
+    (["ou", "--mc"],
+     "63fde3f90469e512d376b44c481ee7215feceeb43bed2f05c9e8c7914bd82f88"),
 ])
 def test_exact_output_bytes(args, digest):
     # no golden file holds these: SHA-256 digests of the printed stdout
@@ -225,6 +229,19 @@ def test_sim_sphere(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,x,u1,u2,u3"
     assert len(lines) > 10
+
+
+@pytest.mark.parametrize("args, header", [
+    (["--target", "flat", "--n", "16", "--modes", "2", "--replicas", "4"],
+     "mode,component,variance,oracle,stderr,status"),
+    (["--target", "sphere", "--n", "16", "--steps", "5"], "t,x,u1,u2,u3"),
+])
+def test_sim_without_out_prints_rows(tmp_path, args, header):
+    # without --out the CSV goes to stdout and no file is written
+    r = run_cli("sim", *args, cwd=tmp_path)
+    assert r.returncode == 0
+    assert r.stdout.splitlines()[0] == header
+    assert list(tmp_path.iterdir()) == []
 
 
 GRAPH_OK = "xgraph u=1 l=0\nv 0 Xi\ne 0.out:1 -> up:1\n"

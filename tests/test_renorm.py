@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from gshe import renorm
 from gshe.renorm import (K3_SLOPE, Mollifier, SimConfig, StabilityError,
                          cbar_estimate, flat_mode_variance_oracle,
                          heat_decay_error, heat_kernel, k3_log_slope,
@@ -94,93 +93,59 @@ def test_ou_exact_covariance():
 
 
 def test_ou_mc_matches_exact():
-    a2m, a1m, se2, se1 = ou_loop_mc(64, n_steps=2000, burn=300, seed=3)
+    a2m, a1m, se2, se1 = ou_loop_mc(64, n_samples=2000, seed=3)
     a2e, a1e = ou_loop_covariance(64)
     assert abs(a2m - a2e) < 3 * se2
     assert abs(a1m - a1e) < 3 * se1
 
 
-def test_ou_zero_mode_projected():
-    # stationary samples have (numerically) zero mean by construction
-    import numpy as np
-
-    from gshe.renorm import ou_loop_mc
-
-    a2m, a1m, _, _ = ou_loop_mc(32, n_steps=500, burn=100, seed=1)
-    assert math.isfinite(a2m) and math.isfinite(a1m)
-
-
-def ref_ou_loop_mc(N: int, n_steps=3000, burn=300, seed=0):
-    """Reference loop: one draw, irfft, roll and mean per step."""
-    rng = np.random.default_rng(seed)
-    eps = 1.0 / N
-    half = N // 2
-    k = np.arange(half + 1)
-    theta = 2.0 * math.pi * k / N
-    lam = np.where(k > 0, (2.0 - 2.0 * np.cos(theta)) / eps ** 2, 1.0)
-    stat = np.where(k > 0, N * eps / np.maximum(2.0 - 2.0 * np.cos(theta), 1e-300), 0.0)
-    dt = 0.25 * eps ** 2
-    decay = np.exp(-lam * dt)
-    step_var = stat * (1.0 - decay ** 2)
-    real_mode = np.zeros(half + 1, dtype=bool)
-    real_mode[0] = True
-    if N % 2 == 0:
-        real_mode[half] = True
-
-    def complex_noise(var):
-        re = rng.standard_normal(half + 1)
-        im = rng.standard_normal(half + 1)
-        out = np.where(real_mode, re * np.sqrt(var),
-                       (re + 1j * im) * np.sqrt(var / 2.0))
-        return out
-
-    z = complex_noise(stat)
-    z[0] = 0.0
-    samples2, samples1 = [], []
-    for step in range(n_steps + burn):
-        z = decay * z + complex_noise(step_var)
-        z[0] = 0.0
-        if step < burn:
-            continue
-        u = np.fft.irfft(z, n=N)
-        du = np.roll(u, -1) - u
-        samples2.append(np.mean(du * du) / eps)
-        samples1.append(np.mean(u * du) / eps)
-    a2, a1 = float(np.mean(samples2)), float(np.mean(samples1))
-    nb = 20
-    se2 = float(np.std([np.mean(b) for b in np.array_split(samples2, nb)],
-                       ddof=1) / math.sqrt(nb))
-    se1 = float(np.std([np.mean(b) for b in np.array_split(samples1, nb)],
-                       ddof=1) / math.sqrt(nb))
-    return a2, a1, se2, se1
+def sylvester(order):
+    """The Sylvester-Hadamard matrix of a power-of-two order: entries +-1
+    and orthogonal columns, H^T H = order I."""
+    h = np.ones((1, 1))
+    while len(h) < order:
+        h = np.block([[h, h], [h, -h]])
+    return h
 
 
-CHUNK = renorm._OU_CHUNK_STEPS
+class SylvesterNoise:
+    """A stand-in generator whose samples have second moments exactly the
+    identity.  Sample s of a draw of shape (samples, ...) is row s of the
+    Sylvester-Hadamard matrix of order samples, cut to the sample's size;
+    the columns are orthogonal, so the samples' mean of x x^T is I and the
+    sample mean of any quadratic statistic is its expectation, to rounding."""
+
+    def __init__(self, seed):
+        pass
+
+    def standard_normal(self, shape):
+        size = math.prod(shape[1:])
+        h = sylvester(shape[0])
+        assert len(h) == shape[0] >= size
+        return h[:, :size].reshape(shape)
 
 
-@pytest.mark.parametrize("args", [
-    (64,),
-    (63,),
-    # a burn that ends inside a chunk, and a run shorter than one chunk
-    (32, 2 * CHUNK, CHUNK + 44, 5),
-    (16, CHUNK // 3, 10, 2),
+@pytest.mark.parametrize("N", [64, 63, 8])
+def test_ou_mc_law_is_exact(N, monkeypatch):
+    # a2 and a1 are quadratic in the draws, so under a design with identity
+    # second moments the estimates are the stationary law's exact values;
+    # at even N this pins the real Nyquist column (drawn complex, the irfft
+    # drops its imaginary part and half its variance)
+    monkeypatch.setattr(np.random, "default_rng", SylvesterNoise)
+    a2m, a1m, _, _ = ou_loop_mc(N, n_samples=128)
+    np.testing.assert_allclose((a2m, a1m), ou_loop_covariance(N), rtol=1e-12)
+
+
+@pytest.mark.parametrize("N, n_samples, match", [
+    # one sample has no standard error, none divides by zero
+    (8, 1, "n_samples must be at least 2, got 1"),
+    (8, 0, "n_samples must be at least 2, got 0"),
+    (7, 100, "need N >= 8"),
 ])
-def test_ou_mc_matches_per_step_reference(args):
-    # the same draws and the same arithmetic per sample, so equal bits
-    assert ou_loop_mc(*args) == ref_ou_loop_mc(*args)
-
-
-@pytest.mark.parametrize("kwargs, match", [
-    # fewer steps than the 20 batch means leaves batches empty (nan errors)
-    ({"n_steps": 10, "burn": 3}, "n_steps must be at least 20, got 10"),
-    ({"n_steps": 19}, "n_steps must be at least 20, got 19"),
-    # a negative burn would leave rows of the sample arrays unwritten
-    ({"n_steps": 100, "burn": -5}, "burn must not be negative, got -5"),
-])
-def test_ou_mc_rejects_bad_sizes(kwargs, match):
+def test_ou_mc_rejects_bad_sizes(N, n_samples, match):
     with pytest.raises(ValueError, match=match):
-        ou_loop_mc(8, **kwargs)
-    assert np.isfinite(ou_loop_mc(8, n_steps=20, burn=0)).all()
+        ou_loop_mc(N, n_samples=n_samples)
+    assert np.isfinite(ou_loop_mc(8, n_samples=2)).all()
 
 
 def test_flat_she_matches_oracle():
