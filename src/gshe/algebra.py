@@ -19,8 +19,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .graphs import (DegreeError, GeneratorType, PairingError, XGraph,
-                     empty_graph)
+from .graphs import (DegreeError, GeneratorType, PairingError, StructureError,
+                     XGraph, empty_graph)
 
 
 class LinComb:
@@ -35,15 +35,18 @@ class LinComb:
                 self._add(g, c)
 
     def _add(self, g, c):
-        c = Fraction(c)
-        if c == 0:
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
+        if not c:
             return
-        g, _ = g.canonicalize()
-        new = self.terms.get(g, Fraction(0)) + c
-        if new == 0:
-            self.terms.pop(g, None)
-        else:
-            self.terms[g] = new
+        g = g.canonicalize()[0]
+        old = self.terms.get(g)
+        if old is not None:
+            c += old
+            if not c:
+                del self.terms[g]
+                return
+        self.terms[g] = c
 
     @classmethod
     def of(cls, g, c=1):
@@ -52,7 +55,8 @@ class LinComb:
         return out
 
     def __add__(self, other):
-        out = LinComb(self.terms)
+        out = LinComb()
+        out.terms = dict(self.terms)
         for g, c in other.terms.items():
             out._add(g, c)
         return out
@@ -66,8 +70,8 @@ class LinComb:
     def __rmul__(self, scalar):
         out = LinComb()
         s = Fraction(scalar)
-        for g, c in self.terms.items():
-            out._add(g, c * s)
+        if s:
+            out.terms = {g: c * s for g, c in self.terms.items()}
         return out
 
     def __mul__(self, other):
@@ -111,7 +115,7 @@ class LinComb:
         out = LinComb()
         for g, c in self.terms.items():
             for h, d in fn(g):
-                out._add(h, c * d)
+                out._add(h, c if d == 1 else c * d)
         return out
 
     def __repr__(self):
@@ -174,6 +178,9 @@ def act_graph(alpha, g: XGraph) -> XGraph:
     pu, pl = alpha
     if len(pu) != g.u or len(pl) != g.l:
         raise DegreeError(f"permutation acts on ({len(pu)},{len(pl)}), graph has {g.degree}")
+    for p in alpha:
+        if sorted(p) != list(range(1, len(p) + 1)):
+            raise ValueError(f"{p} is not a permutation of 1..{len(p)}")
     ipl = invert_perm(pl) if pl else pl
     wiring = {}
     for src, dst in g.wiring.items():
@@ -183,7 +190,7 @@ def act_graph(alpha, g: XGraph) -> XGraph:
             wiring[src] = ("u", pu[dst[1] - 1])
         else:
             wiring[src] = dst
-    return XGraph(g.u, g.l, g.types, wiring, g.pairing)
+    return XGraph._trusted(g.u, g.l, g.types, wiring, g.pairing)
 
 
 def product_graph(a: XGraph, b: XGraph) -> XGraph:
@@ -199,7 +206,7 @@ def product_graph(a: XGraph, b: XGraph) -> XGraph:
     for src, dst in b.wiring.items():
         wiring[shift_src(src)] = shift_dst(dst)
     pairing = list(a.pairing) + [frozenset(v + n1 for v in p) for p in b.pairing]
-    return XGraph(a.u + b.u, a.l + b.l, a.types + b.types, wiring, pairing)
+    return XGraph._trusted(a.u + b.u, a.l + b.l, a.types + b.types, wiring, pairing)
 
 
 def trace_graph(g: XGraph) -> XGraph:
@@ -210,26 +217,30 @@ def trace_graph(g: XGraph) -> XGraph:
     wiring = dict(g.wiring)
     del wiring[("l", g.l)]
     wiring[src] = target
-    return XGraph(g.u - 1, g.l - 1, g.types, wiring, g.pairing)
+    return XGraph._trusted(g.u - 1, g.l - 1, g.types, wiring, g.pairing)
 
 
 def derive_vertex_graph(g: XGraph, v) -> XGraph:
+    if not (isinstance(v, int) and 0 <= v < g.n_vertices):
+        raise StructureError(f"edge into nonexistent vertex {v!r}", ("l", 1))
     wiring = {("l", 1): (v, 0)}
     for src, dst in g.wiring.items():
         if src[0] == "l":
             wiring[("l", src[1] + 1)] = dst
         else:
             wiring[src] = dst
-    return XGraph(g.u, g.l + 1, g.types, wiring, g.pairing)
+    return XGraph._trusted(g.u, g.l + 1, g.types, wiring, g.pairing)
 
 
 def cut_graph(g: XGraph, e) -> XGraph:
     """Redirect internal edge e to fresh external slots up:u+1 / low:l+1."""
     wiring = dict(g.wiring)
     target = wiring[e]
+    if e[0] == "l" or target[0] == "u":
+        raise StructureError(f"{e} is not an internal edge", e)
     wiring[e] = ("u", g.u + 1)
     wiring[("l", g.l + 1)] = target
-    return XGraph(g.u + 1, g.l + 1, g.types, wiring, g.pairing)
+    return XGraph._trusted(g.u + 1, g.l + 1, g.types, wiring, g.pairing)
 
 
 def subgraph(g: XGraph, vertices, u_off, l_off):
@@ -379,7 +390,7 @@ def derive_adjoint(a: LinComb) -> LinComb:
                 wiring[("l", src[1] - 1)] = dst
             else:
                 wiring[src] = dst
-        return [(XGraph(g.u, g.l - 1, g.types, wiring, g.pairing), 1)]
+        return [(XGraph._trusted(g.u, g.l - 1, g.types, wiring, g.pairing), 1)]
 
     return a.map_terms(per_graph)
 
@@ -555,10 +566,14 @@ def substitute_vertex(g: XGraph, v, image: LinComb, carrier=None):
         if partner is not None:
             if carrier is None:
                 raise PairingError("substituting a paired vertex needs a carrier")
-            pairing.append(frozenset({reindex[partner], carrier(term) + base}))
+            c = carrier(term)
+            if not (isinstance(c, int) and 0 <= c < term.n_vertices) \
+                    or any(c in p for p in term.pairing):
+                raise PairingError(f"carrier {c!r} is no unpaired vertex of the term")
+            pairing.append(frozenset({reindex[partner], c + base}))
         for assign in itertools.product(range(term.n_vertices),
                                         repeat=len(star_sources)):
             w = dict(wiring)
             for s, tv in zip(star_sources, assign):
                 w[s] = (tv + base, 0)
-            yield XGraph(g.u, g.l, types, w, pairing), coeff
+            yield XGraph._trusted(g.u, g.l, types, w, pairing), coeff

@@ -142,6 +142,14 @@ def cmd_constants(args):
 
 
 def cmd_ou(args):
+    """The discrete loop's stationary statistics a2 and a1: exact rows, and
+    with ``--mc`` Monte Carlo rows.
+
+    On a periodic loop sum_j u_j (u_{j+1} - u_j) = -sum_j (u_{j+1} - u_j)^2
+    / 2, so every sample has a1 = -a2 / 2, and the ``ou_a1_mc`` row is the
+    ``ou_a2_mc`` row times -1/2 (value, standard error and verdict alike).
+    It is derived, not a second check.
+    """
     from .renorm import ou_loop_covariance, ou_loop_mc
 
     a2, a1 = ou_loop_covariance(args.n)

@@ -30,10 +30,16 @@ vertex types, wiring, pairing), so a bounded module memo maps that structure
 to the minimal leaf's ordering and its hit count; a graph whose structure
 was canonicalised before skips refinement and search and only re-encodes
 that one ordering.  See ``_MEMO`` for the key, the value and the bound.
+
+``XGraph(...)`` checks the wiring and the pairing.  The operations that
+rebuild a graph from parts of valid graphs (products, traces, derivations,
+substitutions, relabellings and canonical forms) use ``XGraph._trusted``,
+which skips those checks and keeps only the vertex limit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -180,8 +186,9 @@ def _norm_src(s):
     return (-1, s[1]) if s[0] == "l" else s
 
 
-# The largest graph ``XGraph`` accepts, which bounds canonicalisation time.
-# The slowest canonicalisations are colour classes with few automorphisms: a
+# The largest graph ``XGraph`` and ``XGraph._trusted`` accept, which bounds
+# canonicalisation time; a product of two valid graphs can exceed it.  The
+# slowest canonicalisations are colour classes with few automorphisms: a
 # directed cycle of n noises searches (n-1)! orderings, 0.8 s at n = 9 and
 # 10 s at n = 10 (two 5-cycles 3 s), measured on a 2-vCPU x86-64 host under
 # CPython 3.11.
@@ -189,7 +196,7 @@ MAX_VERTICES = 10
 
 # Canonicalisation memo: ``XGraph._memo_key()`` -> (the minimal leaf's
 # vertex ordering as bytes, automorphism count).  The key spells out the
-# degree, a per-object id of each vertex type, the pairs and the wiring items
+# degree, a per-object id of each vertex type, the pairs and the wiring edges
 # in dict order, so equal keys mean equal raw structures; the same structure
 # wired in another insertion order only misses.  It is exact because the
 # minimal encoding, the ordering the search keeps and the hit count depend on
@@ -208,7 +215,9 @@ class XGraph:
     """Immutable decorated graph; hashes and compares by canonical form."""
 
     # ``_canon`` is None until canonicalised, then (canonical graph, or None
-    # when this graph is its own canonical form, aut count, canonical key).
+    # when this graph is its own canonical form, aut count, canonical key,
+    # hash of the key).  String hashes are salted per interpreter, so a copy
+    # (``__reduce__``) starts with ``_canon`` None.
     __slots__ = ("u", "l", "types", "wiring", "pairing", "_canon")
 
     def __init__(self, u, l, types, wiring, pairing=()):
@@ -236,6 +245,31 @@ class XGraph:
         self.wiring = wiring
         self.pairing = frozenset(pset)
         self._canon = None
+
+    @classmethod
+    def _trusted(cls, u, l, types, wiring, pairing):
+        """A graph built from the parts of valid graphs, without checks.
+
+        The caller vouches for the wiring and the pairing (a set of
+        2-element frozensets) and hands over ``wiring``, which it must not
+        change afterwards.  Only the vertex limit is checked, since a
+        product of two valid graphs can exceed it.
+        """
+        types = tuple(types)
+        if len(types) > MAX_VERTICES:
+            raise ValueError(f"{len(types)} vertices, more than {MAX_VERTICES}")
+        g = object.__new__(cls)
+        g.u = u
+        g.l = l
+        g.types = types
+        g.wiring = wiring
+        g.pairing = frozenset(pairing)
+        g._canon = None
+        return g
+
+    def __reduce__(self):
+        return XGraph._trusted, (self.u, self.l, self.types, self.wiring,
+                                 self.pairing)
 
     # -- basic structure ---------------------------------------------------
 
@@ -309,30 +343,34 @@ class XGraph:
 
     # -- canonicalisation --------------------------------------------------
 
-    def _wl_colors(self):
+    def _edges(self):
+        """The wiring as (source, slot, target, slot) tuples, -1 naming the
+        external side: one pass over the dict per canonicalisation."""
+        return [(-1 if a == "l" else a, j, -1 if b == "u" else b, k)
+                for (a, j), (b, k) in self.wiring.items()]
+
+    def _wl_colors(self, edges):
         """Iterated refinement of isomorphism-invariant vertex colors."""
         n = self.n_vertices
+        types = self.types
         ext = [[] for _ in range(n)]
-        for src, dst in self.wiring.items():
-            if isinstance(src[0], int) and dst[0] == "u":
-                ext[src[0]].append((0, dst[1], self.types[src[0]].out_orbit(src[1])))
-            if src[0] == "l" and isinstance(dst[0], int):
-                v, j = dst
-                slot = 0 if j == 0 else self.types[v].in_orbit(j)
-                ext[v].append((1, src[1], slot))
-        colors = [(self.types[v].name, tuple(sorted(ext[v]))) for v in range(n)]
+        inner = []
+        for a, ja, b, jb in edges:
+            ob = 0 if jb == 0 or b < 0 else types[b].in_orbit(jb)
+            if a < 0:
+                ext[b].append((1, ja, ob))
+            elif b < 0:
+                ext[a].append((0, jb, types[a].out_orbit(ja)))
+            else:
+                inner.append((a, types[a].out_orbit(ja), b, ob))
+        pairs = [sorted(p) for p in self.pairing]
+        colors = [(types[v].name, tuple(sorted(ext[v]))) for v in range(n)]
         for _ in range(n):
             nbrs = [[] for _ in range(n)]
-            for src, dst in self.wiring.items():
-                if isinstance(src[0], int) and isinstance(dst[0], int):
-                    a, ja = src
-                    b, jb = dst
-                    oa = self.types[a].out_orbit(ja)
-                    ob = 0 if jb == 0 else self.types[b].in_orbit(jb)
-                    nbrs[a].append((0, oa, ob, colors[b]))
-                    nbrs[b].append((1, ob, oa, colors[a]))
-            for p in self.pairing:
-                a, b = sorted(p)
+            for a, oa, b, ob in inner:
+                nbrs[a].append((0, oa, ob, colors[b]))
+                nbrs[b].append((1, ob, oa, colors[a]))
+            for a, b in pairs:
                 nbrs[a].append((2, 0, 0, colors[b]))
                 nbrs[b].append((2, 0, 0, colors[a]))
             new = [(colors[v], tuple(sorted(nbrs[v], key=repr))) for v in range(n)]
@@ -343,26 +381,23 @@ class XGraph:
             colors = refined
         return colors
 
-    def _encode(self, order, choice):
-        pos = {v: i for i, v in enumerate(order)}
-        entries = []
-        for src, dst in self.wiring.items():
-            if src[0] == "l":
-                s = (-1, src[1])
-            else:
-                v, j = src
-                s = (pos[v], choice[v][1][j - 1])
-            if dst[0] == "u":
-                d = (-1, dst[1])
-            elif dst[1] == 0:
-                d = (pos[dst[0]], 0)
-            else:
-                v, j = dst
-                d = (pos[v], choice[v][0][j - 1])
-            entries.append((s, d))
-        entries.sort()
-        pairs = sorted(tuple(sorted(pos[v] for v in p)) for p in self.pairing)
-        return (tuple(self.types[v].name for v in order), tuple(entries), tuple(pairs))
+    def _encode(self, edges, order, choices):
+        """The serialisation of the graph under the vertex ordering
+        ``order``, one per slot choice (a per-vertex (in, out) permutation
+        pair) in ``choices``."""
+        pos = [0] * len(order)
+        for i, v in enumerate(order):
+            pos[v] = i
+        names = tuple(self.types[v].name for v in order)
+        pairs = tuple(sorted(tuple(sorted(pos[v] for v in p)) for p in self.pairing))
+        out = []
+        for choice in choices:
+            entries = sorted([
+                ((-1, ja) if a < 0 else (pos[a], choice[a][1][ja - 1]),
+                 (-1, jb) if b < 0 else (pos[b], choice[b][0][jb - 1] if jb else 0))
+                for a, ja, b, jb in edges])
+            out.append((names, tuple(entries), pairs))
+        return out
 
     def canonicalize(self):
         """Return (canonical graph, automorphism count).
@@ -373,51 +408,64 @@ class XGraph:
         group.  ``_search`` walks the orderings as a tree of prefixes and
         skips every subtree that a found automorphism maps onto one it has
         already explored, taking that subtree's (minimum, hits) instead.
-        A raw structure found in ``_MEMO`` skips refinement and search: its
-        stored ordering, under every slot choice, gives the minimum.
+        Refined colours that are all distinct leave a single ordering, the
+        search's one leaf, which is encoded without the tree.  A raw
+        structure found in ``_MEMO`` skips refinement and search: its stored
+        ordering, under every slot choice, gives the minimum.  The wiring is
+        read once, into ``_edges()``, for the memo key, the refinement and
+        every encoding.
         """
         if self._canon is not None:
-            g, hits, _ = self._canon
+            g, hits = self._canon[:2]
             return (self if g is None else g), hits
-        groups = [t.slot_group for t in self.types]
-        memo_key = self._memo_key()
+        choices = list(itertools.product(*(t.slot_group for t in self.types)))
+        edges = self._edges()
+        memo_key = self._memo_key(edges)
         known = _MEMO.get(memo_key)
         if known is None:
             by_color = {}
-            for v, c in enumerate(self._wl_colors()):
+            for v, c in enumerate(self._wl_colors(edges)):
                 by_color.setdefault(c, []).append(v)
-            classes = [by_color[c] for c in sorted(by_color) for _ in by_color[c]]
-            state = [None, None, []]
-            best, hits = _search(self, classes, groups, [], state)
-            order = bytes(state[1])
+            if len(by_color) == len(self.types):
+                # Discrete colours: the search's one leaf, without the tree.
+                order = [by_color[c][0] for c in sorted(by_color)]
+                encs = self._encode(edges, order, choices)
+                best = min(encs)
+                hits = encs.count(best)
+            else:
+                classes = [by_color[c] for c in sorted(by_color) for _ in by_color[c]]
+                state = [None, None, []]
+                encode = functools.partial(self._encode, edges, choices=choices)
+                best, hits = _search(encode, classes, [], state)
+                order = state[1]
+            order = bytes(order)
             if len(_MEMO) >= _MEMO_CAP:
                 _MEMO.clear()
             _MEMO[memo_key] = order, hits
         else:
             order, hits = known
-            best = min(self._encode(order, ch) for ch in itertools.product(*groups))
+            best = min(self._encode(edges, order, choices))
         _, entries, pairs = best
-        # A relabelling of this validated graph: skip __init__'s checks.
-        g = XGraph.__new__(XGraph)
-        g.u, g.l = self.u, self.l
-        g.wiring = {(("l", s[1]) if s[0] == -1 else s):
-                    (("u", d[1]) if d[0] == -1 else d) for s, d in entries}
-        g.types = tuple(self.types[v] for v in order)
-        g.pairing = frozenset(map(frozenset, pairs))
+        g = XGraph._trusted(
+            self.u, self.l, [self.types[v] for v in order],
+            {(("l", s[1]) if s[0] == -1 else s): (("u", d[1]) if d[0] == -1 else d)
+             for s, d in entries},
+            map(frozenset, pairs))
         key = (self.u, self.l, best)
+        h = hash(key)
         # None, not g itself: a self-reference would leave every dropped
         # canonical graph to the cyclic garbage collector.
-        g._canon = (None, hits, key)
-        self._canon = (g, hits, key)
+        g._canon = (None, hits, key, h)
+        self._canon = (g, hits, key, h)
         return g, hits
 
-    def _memo_key(self):
+    def _memo_key(self, edges):
         """The raw structure as one ``_MEMO`` key.
 
         The integers u, l, the vertex and pair counts, each type's id, the
-        pairs {a < b} as sorted codes a n + b (n vertices), and each wiring
-        item as (source, its slot, target, its slot), where 0 names the
-        external side and v + 1 vertex v.  The counts fix where each part
+        pairs {a < b} as sorted codes a n + b (n vertices), and each of
+        ``_edges()`` as (source, its slot, target, its slot), where 0 names
+        the external side and v + 1 vertex v.  The counts fix where each part
         ends, so distinct structures give distinct sequences; ``bytes``
         holds them when all are below 256, a tuple otherwise.
         """
@@ -425,8 +473,8 @@ class XGraph:
         key = [self.u, self.l, n, len(self.pairing)]
         key += [t._uid for t in self.types]
         key += sorted(min(p) * n + max(p) for p in self.pairing)
-        for (a, j), (b, k) in self.wiring.items():
-            key += (0 if a == "l" else a + 1, j, 0 if b == "u" else b + 1, k)
+        for a, j, b, k in edges:
+            key += (a + 1, j, b + 1, k)
         try:
             return bytes(key)
         except ValueError:
@@ -446,7 +494,9 @@ class XGraph:
         return self.canonical_key() == other.canonical_key()
 
     def __hash__(self):
-        return hash(self.canonical_key())
+        if self._canon is None:
+            self.canonicalize()
+        return self._canon[3]
 
     def __repr__(self):
         names = ",".join(t.name for t in self.types)
@@ -457,9 +507,10 @@ class _Unwind(Exception):
     """A leaf tied the best leaf; ``args[0]`` is the depth to unwind to."""
 
 
-def _search(g, classes, groups, order, state):
+def _search(encode, classes, order, state):
     """(Minimal encoding, hits) over the leaves below the prefix ``order``.
 
+    ``encode(order)`` lists the graph's encodings under every slot choice.
     ``classes[i]`` is the colour class that fills position i.  ``state`` is
     [best encoding, best leaf's ordering, found automorphisms as vertex
     maps], shared by the whole search.
@@ -476,13 +527,9 @@ def _search(g, classes, groups, order, state):
     """
     depth = len(order)
     if depth == len(classes):
-        low, hits = None, 0
-        for choice in itertools.product(*groups):
-            enc = g._encode(order, choice)
-            if low is None or enc < low:
-                low, hits = enc, 1
-            elif enc == low:
-                hits += 1
+        encs = encode(order)
+        low = min(encs)
+        hits = encs.count(low)
         best, best_order, autos = state
         if best is None or low < best:
             state[0], state[1] = low, list(order)
@@ -515,7 +562,7 @@ def _search(g, classes, groups, order, state):
             continue
         order.append(v)
         try:
-            done[v] = _search(g, classes, groups, order, state)
+            done[v] = _search(encode, classes, order, state)
         except _Unwind as exc:
             if exc.args[0] != depth:
                 raise

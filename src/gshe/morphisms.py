@@ -203,8 +203,9 @@ def m_ito(a: LinComb) -> LinComb:
             else:
                 nd = (new_index[dst[0]], dst[1])
             wiring[ns] = nd
-        pairing = [p for p in g.pairing if not any(set(p) == set(q) for q in pairs)]
-        return [(XGraph(g.u, g.l, types, wiring, pairing), coeff)]
+        pairing = [frozenset(new_index[v] for v in p) for p in g.pairing
+                   if tuple(sorted(p)) not in pairs]
+        return [(XGraph._trusted(g.u, g.l, types, wiring, pairing), coeff)]
 
     return a.map_terms(per_graph)
 
@@ -224,7 +225,7 @@ def M_ito(a: LinComb) -> LinComb:
             for s, flip in zip(star_edges, flips):
                 if flip:
                     wiring[s] = (mate[wiring[s][0]], 0)
-            yield XGraph(g.u, g.l, g.types, wiring, g.pairing), weight
+            yield XGraph._trusted(g.u, g.l, g.types, wiring, g.pairing), weight
 
     return a.map_terms(per_graph)
 

@@ -259,7 +259,10 @@ def ou_loop_mc(N: int, n_samples=3000, seed=0):
     sample is one stationary spectrum drawn directly, E|u_hat_k|^2 =
     N eps / (2 - 2 cos theta_k) with mode zero projected out: no time step,
     no burn.  Returns (a2, a1, se2, se1) with the samples' plain standard
-    errors; needs N >= 8 and n_samples >= 2.
+    errors; needs N >= 8 and n_samples >= 2.  The loop is periodic, so
+    sum_j u_j (u_{j+1} - u_j) = -sum_j (u_{j+1} - u_j)^2 / 2 and each
+    sample's a1 is -a2 / 2: a1 and se1 are derived from a2 and se2, to
+    rounding, and carry no evidence of their own.
     """
     if N < 8:
         raise ValueError("need N >= 8")

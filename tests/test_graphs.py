@@ -1,17 +1,20 @@
 import copy
+import functools
 import itertools
 import math
 import pickle
 import random
 import re
+import sys
 from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gshe import graphs
-from gshe.algebra import act_graph, parse_lincomb, product_graph
+from gshe import checks, graphs, morphisms, subspaces
+from gshe.algebra import (LinComb, act_graph, cut_graph, derive_vertex_graph,
+                          parse_lincomb, product_graph, substitute_vertex)
 from gshe.checks import _brute_aut
 from gshe.graphs import (MAX_VERTICES, GeneratorType, ParseError,
                          PairingError, StructureError, XGraph, empty_graph,
@@ -20,15 +23,77 @@ from gshe.randgraphs import random_graph
 from gshe.symbols import DIFF, GAMMA, GENERATORS, GPAIR, NOISE
 
 
+def ref_wl_colors(g):
+    """Iterated refinement of isomorphism-invariant vertex colors, walking
+    the wiring dict in every round: the class's refinement before it read
+    one edge list per canonicalisation."""
+    n = g.n_vertices
+    ext = [[] for _ in range(n)]
+    for src, dst in g.wiring.items():
+        if isinstance(src[0], int) and dst[0] == "u":
+            ext[src[0]].append((0, dst[1], g.types[src[0]].out_orbit(src[1])))
+        if src[0] == "l" and isinstance(dst[0], int):
+            v, j = dst
+            slot = 0 if j == 0 else g.types[v].in_orbit(j)
+            ext[v].append((1, src[1], slot))
+    colors = [(g.types[v].name, tuple(sorted(ext[v]))) for v in range(n)]
+    for _ in range(n):
+        nbrs = [[] for _ in range(n)]
+        for src, dst in g.wiring.items():
+            if isinstance(src[0], int) and isinstance(dst[0], int):
+                a, ja = src
+                b, jb = dst
+                oa = g.types[a].out_orbit(ja)
+                ob = 0 if jb == 0 else g.types[b].in_orbit(jb)
+                nbrs[a].append((0, oa, ob, colors[b]))
+                nbrs[b].append((1, ob, oa, colors[a]))
+        for p in g.pairing:
+            a, b = sorted(p)
+            nbrs[a].append((2, 0, 0, colors[b]))
+            nbrs[b].append((2, 0, 0, colors[a]))
+        new = [(colors[v], tuple(sorted(nbrs[v], key=repr))) for v in range(n)]
+        ranked = {c: i for i, c in enumerate(sorted(set(new), key=repr))}
+        refined = [ranked[c] for c in new]
+        if len(set(refined)) == len(set(colors)):
+            return refined
+        colors = refined
+    return colors
+
+
+def ref_encode(g, order, choice):
+    """The serialisation of g under one ordering and one slot choice, read
+    from the wiring dict: the class's encoding before it read one edge list
+    per canonicalisation."""
+    pos = {v: i for i, v in enumerate(order)}
+    entries = []
+    for src, dst in g.wiring.items():
+        if src[0] == "l":
+            s = (-1, src[1])
+        else:
+            v, j = src
+            s = (pos[v], choice[v][1][j - 1])
+        if dst[0] == "u":
+            d = (-1, dst[1])
+        elif dst[1] == 0:
+            d = (pos[dst[0]], 0)
+        else:
+            v, j = dst
+            d = (pos[v], choice[v][0][j - 1])
+        entries.append((s, d))
+    entries.sort()
+    pairs = sorted(tuple(sorted(pos[v] for v in p)) for p in g.pairing)
+    return (tuple(g.types[v].name for v in order), tuple(entries), tuple(pairs))
+
+
 def ref_canonicalize(g):
     """(canonical key, automorphism count) by the exhaustive search.
 
     Every colour-respecting ordering times every slot choice, with no
-    pruning by automorphisms.  It shares ``_wl_colors`` and ``_encode``
-    with the class.
+    pruning by automorphisms, through ``ref_wl_colors`` and ``ref_encode``:
+    it shares no code with the class.
     """
     classes = {}
-    for v, c in enumerate(g._wl_colors()):
+    for v, c in enumerate(ref_wl_colors(g)):
         classes.setdefault(c, []).append(v)
     blocks = [classes[c] for c in sorted(classes)]
     groups = [t.slot_group for t in g.types]
@@ -36,7 +101,7 @@ def ref_canonicalize(g):
     for parts in itertools.product(*map(itertools.permutations, blocks)):
         order = [v for part in parts for v in part]
         for choice in itertools.product(*groups):
-            enc = g._encode(order, choice)
+            enc = ref_encode(g, order, choice)
             if best is None or enc < best:
                 best, hits = enc, 1
             elif enc == best:
@@ -277,7 +342,7 @@ def test_perm_closure_validates():
 def has_twins(g):
     """Two vertices of one refined colour whose transposition, with
     identity slot choices, preserves the wiring and the pairing."""
-    colors = g._wl_colors()
+    colors = ref_wl_colors(g)
     for u, v in itertools.combinations(range(g.n_vertices), 2):
         if colors[u] == colors[v]:
             perm = list(range(g.n_vertices))
@@ -315,6 +380,23 @@ def test_canonical_search_matches_exhaustive_search():
         assert (g.canonical_key(), g.aut_count()) == ref_canonicalize(g), \
             (i, format_graph(g))
     assert with_twins > 100
+
+
+def test_refinement_and_encoding_match_the_dict_walk():
+    # the colours and the encodings read from the edge list equal those of
+    # the walk over the wiring dict, for random colour-respecting orderings
+    # and every slot choice
+    rng = random.Random(4242)
+    for i, g in enumerate(mixed_graphs(random.Random(4242), 450)):
+        edges = g._edges()
+        colors = g._wl_colors(edges)
+        assert colors == ref_wl_colors(g), (i, format_graph(g))
+        choices = list(itertools.product(*(t.slot_group for t in g.types)))
+        for _ in range(3):
+            order = sorted(range(g.n_vertices),
+                           key=lambda v: (colors[v], rng.random()))
+            assert g._encode(edges, order, choices) \
+                == [ref_encode(g, order, ch) for ch in choices], (i, format_graph(g))
 
 
 def canon_summary(g):
@@ -373,11 +455,103 @@ def test_copied_type_gets_its_own_memo_id():
             assert c._uid != t._uid
 
 
+def test_copied_graph_recomputes_its_hash(rng, spde_gens):
+    # a cached hash is salted per interpreter, so a copy starts uncanonised
+    # and hashes afresh, to the same value in this process
+    for _ in range(20):
+        g = random_graph(rng, spde_gens, max_vertices=5,
+                         pair_noises=rng.random() < 0.5)
+        c, _ = g.canonicalize()
+        for h in (g, c):
+            for k in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h)):
+                assert k._canon is None
+                assert k == h and hash(k) == hash(h)
+                assert format_graph(k) == format_graph(h)
+
+
+def fresh_caches(monkeypatch):
+    """Swap every ``lru_cache`` of the package for an empty copy of itself,
+    in every module that binds it; ``monkeypatch`` puts the old ones back."""
+    mods = [m for name, m in sys.modules.items() if name.startswith("gshe.")]
+    fresh = {}
+    for m in mods:
+        for f in vars(m).values():
+            if callable(f) and hasattr(f, "cache_parameters"):
+                fresh.setdefault(id(f), functools.lru_cache(
+                    **f.cache_parameters())(f.__wrapped__))
+    for m in mods:
+        for name, f in list(vars(m).items()):
+            if id(f) in fresh:
+                monkeypatch.setattr(m, name, fresh[id(f)])
+
+
+def test_trusted_graphs_are_valid_graphs(monkeypatch):
+    # every graph the operations build without checks passes all of
+    # XGraph's checks, over the suites and the cached subspaces computed cold
+    trusted = XGraph._trusted.__func__
+    built = 0
+
+    def checked(cls, u, l, types, wiring, pairing):
+        nonlocal built
+        g = trusted(cls, u, l, types, wiring, pairing)
+        h = XGraph(g.u, g.l, g.types, g.wiring, g.pairing)
+        assert (h.u, h.l, h.types, h.wiring, h.pairing) \
+            == (g.u, g.l, g.types, g.wiring, g.pairing)
+        built += 1
+        return g
+
+    fresh_caches(monkeypatch)
+    monkeypatch.setattr(XGraph, "_trusted", classmethod(checked))
+    for suite in (checks.suite_talgebra, checks.suite_adjoint,
+                  checks.suite_identities):
+        assert all(not failed for _, _, failed in suite(seed=5, cases=30))
+    assert len(subspaces.s_geo()) == 15 and len(subspaces.s_ito()) == 19
+    assert morphisms.tau_star() and morphisms.tau_c()
+    assert len(morphisms.covariant_symbols()) == 15
+    assert built > 10000
+
+
+def test_trusted_callers_keep_their_guards():
+    chain6 = XGraph(1, 0, (NOISE,) * 6,
+                    {(v, 1): ((v - 1, 0) if v else ("u", 1)) for v in range(6)})
+    with pytest.raises(ValueError, match="12 vertices"):
+        product_graph(chain6, chain6)
+    g = XGraph(2, 0, (NOISE, NOISE), {(0, 1): ("u", 1), (1, 1): ("u", 2)})
+    for alpha in [((1, 1), ()), ((2, 2), ()), ((0, 1), ()), ((1, 3), ())]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            act_graph(alpha, g)
+    cherry = XGraph(1, 2, (GAMMA,), {(0, 1): ("u", 1), ("l", 1): (0, 1),
+                                     ("l", 2): (0, 2)})
+    for alpha in [((1,), (1, 1)), ((1,), (2, 2)), ((2,), (1, 2))]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            act_graph(alpha, cherry)
+    for v in (-1, 2, "0"):
+        with pytest.raises(StructureError, match="nonexistent vertex"):
+            derive_vertex_graph(g, v)
+    with pytest.raises(StructureError, match="not an internal edge"):
+        cut_graph(g, (0, 1))
+    paired = XGraph(2, 0, (NOISE, NOISE), {(0, 1): ("u", 1), (1, 1): ("u", 2)},
+                    [(0, 1)])
+    image = LinComb.of(XGraph(1, 0, (DIFF, NOISE, NOISE),
+                              {(0, 1): ("u", 1), (1, 1): (0, 0), (2, 1): (0, 0)},
+                              [(1, 2)]))
+
+    def first(name):
+        return lambda term: next(v for v, t in enumerate(term.types)
+                                 if t.name == name)
+
+    for carrier in (lambda term: 3, lambda term: -1, first(NOISE.name)):
+        with pytest.raises(PairingError, match="unpaired vertex"):
+            list(substitute_vertex(paired, 0, image, carrier=carrier))
+    assert len(list(substitute_vertex(paired, 0, image,
+                                      carrier=first(DIFF.name)))) == 1
+
+
 def test_memo_stays_within_its_cap(monkeypatch):
     cap = 8
     monkeypatch.setattr(graphs, "_MEMO_CAP", cap)
     gs = list(mixed_graphs(random.Random(5), 60))
-    assert len({g._memo_key() for g in gs}) > 3 * cap
+    assert len({g._memo_key(g._edges()) for g in gs}) > 3 * cap
     searched = searched_summaries(gs)
     for _ in range(2):
         for i, (g, want) in enumerate(zip(gs, searched)):

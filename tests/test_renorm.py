@@ -92,6 +92,14 @@ def test_ou_exact_covariance():
         ou_loop_covariance(4)
 
 
+def test_ou_mc_a1_is_derived_from_a2():
+    # a periodic loop sums u_j (u_{j+1} - u_j) to -sum (u_{j+1} - u_j)^2 / 2,
+    # so each sample's a1 is -a2 / 2 and the a1 row repeats the a2 row
+    a2m, a1m, se2, se1 = ou_loop_mc(64, 2000, 3)
+    assert a1m == pytest.approx(-a2m / 2, rel=1e-12)
+    assert se1 == pytest.approx(se2 / 2, rel=1e-12)
+
+
 def test_ou_mc_matches_exact():
     a2m, a1m, se2, se1 = ou_loop_mc(64, n_samples=2000, seed=3)
     a2e, a1e = ou_loop_covariance(64)
