@@ -121,6 +121,17 @@ def _cbar(eps):
 
 
 def cmd_constants(args):
+    """The quadrature constants: the P^3 identity, the 1/eps coefficient
+    cbar at each eps, and the k3 log slope.
+
+    The ``cbar_halving_stability`` rows compare consecutive cbar values, but
+    the quadrature scales with eps exactly (every node and weight moves by
+    a power of eps), so they are derived, not evidence: for the default
+    halvings the values are equal bit for bit and the rows print
+    0.000e+00, for other lists they print rounding noise.  The evidence for
+    cbar's accuracy is the finer-quadrature comparison in
+    ``tests/test_renorm.py``'s ``test_cbar_stability``.
+    """
     from .renorm import K3_SLOPE, Mollifier, k3_log_slope, p3_identity
 
     rows = []
@@ -280,12 +291,23 @@ def _finite_float(text):
     return value
 
 
+# The smallest --eps-list value.  The quadratures pass down to 1e-10; at
+# 1e-150 k3's time window 1.3 / eps^2 reaches 1e300 and its slope is nan,
+# and at 1e-300 eps^2 underflows to 0.
+EPS_MIN = 1e-10
+
+
 def _eps_list(text):
     try:
-        return [float(x) for x in text.split(",")]
+        values = [float(x) for x in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}") from None
+    for value in values:
+        if not EPS_MIN <= value <= 1:
+            raise argparse.ArgumentTypeError(
+                f"eps must lie in [{EPS_MIN:g}, 1], got {value!r}")
+    return values
 
 
 def build_parser():
@@ -324,7 +346,9 @@ def build_parser():
     q.set_defaults(fn=cmd_check)
 
     q = sub.add_parser("constants", help="quadrature constants")
-    q.add_argument("--eps-list", type=_eps_list, default="0.2,0.1,0.05,0.025")
+    q.add_argument("--eps-list", type=_eps_list, default="0.2,0.1,0.05,0.025",
+                   help=f"comma-separated eps values in [{EPS_MIN:g}, 1], "
+                   "at least three")
     q.add_argument("--out")
     q.set_defaults(fn=cmd_constants)
 

@@ -152,6 +152,9 @@ def test_sim_flat(tmp_path):
      "053de807a7ec071b70f22b37a62b99c2f96ddeeef307f0067ffac4cc3416d4a9"),
     (["--target", "sphere", "--n", "16", "--steps", "20"],
      "e96fd4f7e33988bbe7eee8411fb621b6403ef6cefc3129503a35b9089db2ab10"),
+    # crosses the sphere solver's noise blocks (41 steps at n = 33)
+    (["--target", "sphere", "--n", "33", "--steps", "300", "--noise", "0.5"],
+     "6df0e5f3b6b183f8c5e484a0ab4d271f3da4f3af1cee1bf69744a5867e32d11d"),
 ])
 def test_sim_output_bytes(tmp_path, args, digest):
     # seeded runs are byte-stable: a step that rounds differently enough to
@@ -306,6 +309,12 @@ def test_missing_input_file(tmp_path, command):
     (["sim", "--target", "flat", "--replicas", "1001"], {}, "--replicas"),
     (["sim", "--target", "flat", "--dim", "9"], {}, "--dim"),
     (["sim", "--target", "sphere", "--steps", "100001"], {}, "--steps"),
+    # eps outside [1e-10, 1]: at 1e-300 the k3 quadrature divided by
+    # eps^2 = 0, at 1e-150 its slope was nan
+    (["constants", "--eps-list", "1e-300,1e-301,1e-302"], {}, "--eps-list"),
+    (["constants", "--eps-list", "1e-150,1e-151,1e-152"], {}, "--eps-list"),
+    (["constants", "--eps-list", "0.2,0.1,0.05,2"], {}, "eps must lie in"),
+    (["constants", "--eps-list", "nan,0.1,0.05"], {}, "eps must lie in"),
 ])
 def test_malformed_flags_are_usage_errors(args, env, named):
     r = run_cli(*args, env={**os.environ, **env})

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from gshe.renorm import (K3_SLOPE, Mollifier, SimConfig, StabilityError,
-                         cbar_estimate, flat_mode_variance_oracle,
-                         heat_decay_error, heat_kernel, k3_log_slope,
+from gshe.renorm import (_NOISE_BLOCK_BYTES, K3_SLOPE, Mollifier, SimConfig,
+                         StabilityError, _implicit_gain, _implicit_step,
+                         _leggauss, _smooth_cutoff, cbar_estimate,
+                         flat_mode_variance_oracle, heat_decay_error,
+                         heat_kernel, k3_integral, k3_log_slope,
                          laplacian_symbol, ou_loop_covariance, ou_loop_mc,
                          p3_identity, periodic_laplacian, she_simulate,
                          sphere_simulate)
@@ -81,6 +83,112 @@ def test_k3_log_slope():
     assert abs(slope3 - slope) / abs(slope) < 0.02
     with pytest.raises(ValueError):
         k3_log_slope(rho, [0.1, 0.05])
+
+
+def ref_cbar_estimate(rho, eps, xi_nodes=200, s_nodes=32, t_nodes=48):
+    """The full-grid form of ``cbar_estimate``: A(t, xi) on every (t, s)
+    pair, the pairs with s >= t masked to exp(-inf) = 0."""
+    if not (0 < eps <= 1):
+        raise ValueError("eps must lie in (0, 1]")
+    T = rho.t_support * eps ** 2
+    xi_grid = np.geomspace(1e-3 / eps, 60.0 / eps, xi_nodes)
+    xi_edges = np.concatenate(([xi_grid[0] * 0.5],
+                               np.sqrt(xi_grid[1:] * xi_grid[:-1]),
+                               [xi_grid[-1]]))
+    xi_w = np.diff(xi_edges)
+    ss, sq = rho.time_profile_nodes(eps, s_nodes)
+    w_hat = rho.spatial_hat(eps * xi_grid)
+
+    def A(ts):
+        # A[t_i, xi_j]
+        arg = -(ts[:, None, None] - ss[None, :, None]) \
+            * xi_grid[None, None, :] ** 2
+        arg = np.where(ss[None, :, None] < ts[:, None, None], arg, -np.inf)
+        return np.sum(np.exp(arg) * sq[None, :, None], axis=1)
+
+    ti, tw = _leggauss(t_nodes)
+    ts_head = (ti + 1) / 2 * T
+    tw_head = tw * T / 2
+    A_head = A(ts_head)
+    head = np.sum((A_head ** 2) * tw_head[:, None], axis=0)
+    B = A(np.array([T]))[0]
+    tail = B ** 2 / (2.0 * xi_grid ** 2)
+    integrand = xi_grid ** 2 * w_hat ** 2 * (head + tail)
+    return eps * float(integrand @ xi_w) / math.pi
+
+
+def ref_k3_integral(rho, eps, radius=1.0, t_nodes=220, x_nodes=48,
+                    quad_nodes=12):
+    """The full-grid form of ``k3_integral``: the cutoff kernel on every x
+    node and mollifier node at every t node."""
+    st, wt = sx, wx = _leggauss(quad_nodes)
+    ms = (st + 1) / 2 * rho.t_support
+    mx = sx * rho.x_support
+    mw = np.outer(wt * rho.t_support / 2, wx * rho.x_support)
+    mts, mxs = np.meshgrid(ms, mx, indexing="ij")
+    mvals = (rho(mts, mxs) * mw).ravel()
+    mts, mxs = mts.ravel(), mxs.ravel()
+
+    t_lo, t_hi = 1e-3, 1.3 / eps ** 2 + 2.0
+    ts = np.geomspace(t_lo, t_hi, t_nodes)
+    t_edges = np.concatenate(([t_lo], np.sqrt(ts[1:] * ts[:-1]), [t_hi]))
+    t_w = np.diff(t_edges)
+    xi, xw = _leggauss(x_nodes)
+    total = 0.0
+    for t, wt_ in zip(ts, t_w):
+        scale = 6.0 * math.sqrt(t) + 3.0
+        xs = xi * scale
+        ws = xw * scale
+        karg_t = (t - mts[None, :]) * eps ** 2
+        karg_x = (xs[:, None] - mxs[None, :]) * eps
+        # the heat kernel cut off smoothly at parabolic distance radius
+        r = np.sqrt(np.abs(karg_x) ** 2 + np.abs(karg_t)) / radius
+        conv = eps * (heat_kernel(karg_t, karg_x) * _smooth_cutoff(r))
+        vals = conv @ mvals
+        total += wt_ * float((vals ** 3) @ ws)
+    return total
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.3, 0.2, 0.025])
+@pytest.mark.parametrize("power, kw", [
+    (2, {}),
+    (2, {"radius": 2.0}),
+    (3, {}),
+    # an odd rule has a node at x = 0, kept at its single weight
+    (2, {"x_nodes": 47}),
+    (2, {"t_nodes": 30, "quad_nodes": 5}),
+])
+def test_k3_integral_matches_full_grid(eps, power, kw):
+    rho = Mollifier(power=power)
+    assert k3_integral(rho, eps, **kw) == pytest.approx(
+        ref_k3_integral(rho, eps, **kw), rel=1e-13)
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.3, 0.2, 0.025])
+@pytest.mark.parametrize("power, kw", [
+    (2, {}),
+    (3, {}),
+    (2, {"xi_nodes": 50, "s_nodes": 7, "t_nodes": 9}),
+])
+def test_cbar_estimate_matches_full_grid(eps, power, kw):
+    rho = Mollifier(power=power)
+    assert cbar_estimate(rho, eps, **kw) == pytest.approx(
+        ref_cbar_estimate(rho, eps, **kw), rel=1e-13)
+
+
+def test_cbar_is_exactly_scale_invariant():
+    # every node and weight scales by a power of two across the halvings,
+    # so cbar repeats bit for bit; `gshe constants` prints
+    # cbar_halving_stability 0.000e+00 because of it
+    vals = {cbar_estimate(Mollifier(), e) for e in (0.2, 0.1, 0.05, 0.025)}
+    assert len(vals) == 1
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, 1.5, math.nan])
+def test_quadratures_reject_eps_outside_unit_interval(eps):
+    for quad in (k3_integral, cbar_estimate):
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
+            quad(Mollifier(), eps)
 
 
 def test_ou_exact_covariance():
@@ -369,6 +477,101 @@ def test_sphere_noisy_tube_and_snapshots():
     out = sphere_simulate(n_grid=48, n_steps=400, seed=2)
     assert out["max_dist"] < 0.9
     assert len(out["snapshots"]) > 0
+
+
+def ref_sphere_simulate(n_grid=64, dt=None, n_steps=400, seed=0,
+                        noise_scale=1.0):
+    """The sphere solver with one (3, N) noise draw and one complex
+    smoothing round trip per step, and the projection terms each computing
+    |u| afresh."""
+    def proj_hessian_term(u, ux):
+        r2 = np.sum(u * u, axis=0)
+        r = np.sqrt(r2)
+        udot = np.sum(u * ux, axis=0)
+        ux2 = np.sum(ux * ux, axis=0)
+        return (-2.0 * ux * udot / (r2 * r) - u * ux2 / (r2 * r)
+                + 3.0 * u * udot * udot / (r2 * r2 * r))
+
+    def proj_jacobian_apply(u, w):
+        r2 = np.sum(u * u, axis=0)
+        r = np.sqrt(r2)
+        udot = np.sum(u * w, axis=0)
+        return w / r - u * udot / (r2 * r)
+
+    N = n_grid
+    dx = 2.0 * math.pi / N
+    if dt is None:
+        dt = 0.05 * dx * dx
+    if dt > 0.26 * dx * dx:
+        raise StabilityError("explicit nonlinearity needs dt <= 0.26 dx^2")
+    rng = np.random.default_rng(seed)
+    x = 2.0 * math.pi * np.arange(N) / N
+    # initial loop on the sphere: a tilted circle
+    u = np.vstack([np.cos(x) * math.sqrt(0.5),
+                   np.sin(x) * math.sqrt(0.5),
+                   np.full(N, math.sqrt(0.5))])
+    k_all = periodic_laplacian(N)[0]
+    gain = _implicit_gain(N, dt)
+    # spatial mollification at scale 0.3: Gaussian multiplier on modes
+    smooth = np.exp(-(k_all * 0.3) ** 2 / 2.0)
+    max_dist = 0.0
+    lengths = []
+    snaps = []
+    record_at = np.linspace(0, n_steps - 1, 5, dtype=int)
+    for step in range(n_steps):
+        ux = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * dx)
+        drift = -proj_hessian_term(u, ux)
+        if noise_scale:
+            eta = rng.standard_normal((3, N)) * math.sqrt(dt / dx)
+            eta = np.real(np.fft.ifft(np.fft.fft(eta, axis=1) * smooth[None, :],
+                                      axis=1))
+            noise = proj_jacobian_apply(u, noise_scale * eta)
+        else:
+            noise = 0.0
+        rhs = u + dt * drift + noise
+        u = _implicit_step(rhs, gain)
+        if not np.isfinite(u).all() or np.abs(u).max() > 1e3:
+            raise StabilityError(f"sphere run blew up at step {step}")
+        dist = float(np.max(np.abs(np.sqrt(np.sum(u * u, axis=0)) - 1.0)))
+        max_dist = max(max_dist, dist)
+        if step in record_at:
+            seg = np.sqrt(np.sum((np.roll(u, -1, axis=1) - u) ** 2, axis=0))
+            lengths.append(float(np.sum(seg)))
+            for j in range(N):
+                snaps.append((step * dt, x[j], u[0, j], u[1, j], u[2, j]))
+    return {"max_dist": max_dist, "lengths": lengths, "snapshots": snaps}
+
+
+def noise_block(n_grid):
+    """Steps per noise block of the sphere solver on n_grid points."""
+    return max(1, _NOISE_BLOCK_BYTES // (3 * 8 * n_grid))
+
+
+@pytest.mark.parametrize("n_grid, steps, kw", [
+    (64, lambda b: b // 2, {}),             # shorter than one block
+    (64, lambda b: b + 1, {"seed": 4}),     # one step past a block boundary
+    (16, lambda b: 3 * b + 7, {"seed": 5}),  # several blocks
+    (33, lambda b: 2 * b + 5, {"noise_scale": 0.5, "seed": 3}),  # odd N
+    (48, lambda b: b + 1, {"noise_scale": 0.0}),
+])
+def test_sphere_matches_per_step_reference(n_grid, steps, kw):
+    n_steps = steps(noise_block(n_grid))
+    assert sphere_simulate(n_grid=n_grid, n_steps=n_steps, **kw) \
+        == ref_sphere_simulate(n_grid=n_grid, n_steps=n_steps, **kw)
+
+
+def test_sphere_without_noise_draws_nothing(monkeypatch):
+    class NoDraws:
+        def __init__(self, seed):
+            pass
+
+        def standard_normal(self, shape):
+            raise AssertionError(f"drew {shape} at noise_scale 0")
+
+    monkeypatch.setattr(np.random, "default_rng", NoDraws)
+    out = sphere_simulate(n_grid=16, n_steps=2 * noise_block(16) + 1,
+                          noise_scale=0.0)
+    assert len(out["lengths"]) == 5
 
 
 def test_seeded_reproducibility():
