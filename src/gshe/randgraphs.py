@@ -7,26 +7,30 @@ import random
 from .graphs import XGraph
 from .symbols import NOISE
 
+TRIES = 400  # draws before a sampler gives up on its parameters and raises
+
 
 def random_graph(rng: random.Random, gens, max_vertices=4, max_low=2,
-                 pair_noises=False, min_u=0, min_low=0):
+                 pair_noises=False, degree=None):
     """A uniform-ish random valid graph over the given generator list.
 
-    Retries until the slot balance admits a wiring, and with
-    ``pair_noises`` until the plain noise vertices can be paired.  Not a
-    uniform sampler; good enough to exercise the axioms.
+    Its degree is ``degree=(u, l)``, or drawn with l <= ``max_low``.  Retries
+    until the slot balance admits a wiring, and with ``pair_noises`` until
+    the plain noise vertices can be paired.  Not a uniform sampler; good
+    enough to exercise the axioms.
     """
-    for _ in range(400):
+    for _ in range(TRIES):
         n = rng.randint(1, max_vertices)
         types = [rng.choice(gens) for _ in range(n)]
         total_out = sum(t.out_arity for t in types)
         natives = [(v, j) for v, t in enumerate(types)
                    for j in range(1, t.in_arity + 1)]
-        if min_u > total_out or min_low > max_low:
-            continue
-        l = rng.randint(min_low, max_low)
-        u = rng.randint(min_u, total_out)
-        if total_out - u + l < len(natives):
+        if degree is None:
+            l = rng.randint(0, max_low)
+            u = rng.randint(0, total_out)
+        else:
+            u, l = degree
+        if u > total_out or total_out - u + l < len(natives):
             continue
         out_slots = [(v, j) for v, t in enumerate(types)
                      for j in range(1, t.out_arity + 1)]
@@ -52,17 +56,17 @@ def random_graph(rng: random.Random, gens, max_vertices=4, max_low=2,
     raise RuntimeError("could not sample a valid graph with these parameters")
 
 
-def random_lincomb(rng, gens, n_terms=2, degree=None, coeff_range=3, **kw):
-    """Random linear combination; if ``degree`` is set, all terms match it."""
+def random_lincomb(rng, gens, n_terms=2, coeff_range=3, **kw):
+    """Random combination of ``n_terms`` terms, each drawn by ``random_graph``
+    with ``kw`` (so ``degree`` fixes them all); raises if it falls short."""
     from .algebra import LinComb
 
-    out = LinComb()
-    tries = 0
-    while len(out) < n_terms and tries < 500:
-        tries += 1
+    out, draws = LinComb(), 0
+    while len(out) < n_terms:
+        if draws == TRIES:
+            raise RuntimeError(f"could not draw {n_terms} distinct terms")
+        draws += 1
         g = random_graph(rng, gens, **kw)
-        if degree is not None and g.degree != degree:
-            continue
         c = rng.randint(-coeff_range, coeff_range)
         if c:
             out = out + LinComb.of(g, c)

@@ -151,11 +151,15 @@ def cbar_estimate(rho: Mollifier, eps: float, xi_nodes=200, s_nodes=32,
     return eps * float(integrand @ xi_w) / math.pi
 
 
-def p3_identity(t: float, nodes=400):
-    """int P^3(t, x) dx times 4 sqrt(3) pi t; exactly 1 in the limit."""
+def p3_identity(t: float):
+    """int P^3(t, x) dx times 4 sqrt(3) pi t; exactly 1 in the limit.
+
+    The integrand is a Gaussian on [-10 sqrt(t), 10 sqrt(t)]; 100
+    Gauss-Legendre nodes resolve it to rounding (about 1e-14).
+    """
     if t <= 0:
         raise ValueError("t must be positive")
-    xi, xw = _leggauss(nodes)
+    xi, xw = _leggauss(100)
     scale = 10.0 * math.sqrt(t)
     xs = xi * scale
     ws = xw * scale
@@ -448,30 +452,6 @@ def she_simulate(cfg: SimConfig, modes=8, n_replicas=160):
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / math.sqrt(n_replicas)
     return {"mode_var": mean, "se": se, "oracle": oracle[:, :modes]}
-
-
-def heat_decay_error(cfg: SimConfig, n_steps=200):
-    """Zero-noise time loop against the closed-form modewise decay.
-
-    The scheme applied with no noise must reproduce the spectral solution of
-    its own discrete operator, u_hat_k(n) = u_hat_k(0)/(1 + dt lambda_k)^n,
-    to rounding accuracy.  The loop runs ``_implicit_step``, the real-FFT
-    step the sphere solver takes, and the closed form uses the full complex
-    FFT, so this pins that step, including its rfft layout.  The flat
-    solver's law is pinned against the burn's grid covariance in
-    ``tests/test_renorm.py``.
-    """
-    N = cfg.n_grid
-    x = 2.0 * math.pi * np.arange(N) / N
-    u = np.sin(x) + 0.3 * np.cos(3 * x)
-    denom = 1.0 + cfg.dt * periodic_laplacian(N)[1]
-    gain = _implicit_gain(N, cfg.dt)
-    u0_hat = np.fft.fft(u)
-    v = u
-    for _ in range(n_steps):
-        v = _implicit_step(v, gain)
-    spectral = np.real(np.fft.ifft(u0_hat / denom ** n_steps))
-    return float(np.max(np.abs(v - spectral)))
 
 
 # -- sphere-valued solver --------------------------------------------------------
