@@ -309,13 +309,14 @@ def test_missing_input_file(tmp_path, command):
     (["sim", "--target", "flat", "--replicas", "1001"], {}, "--replicas"),
     (["sim", "--target", "flat", "--dim", "9"], {}, "--dim"),
     (["sim", "--target", "sphere", "--steps", "100001"], {}, "--steps"),
-    (["check", "--cases", "10001"], {}, "--cases"),
     # eps outside [1e-10, 1]: at 1e-300 the k3 quadrature divided by
     # eps^2 = 0, at 1e-150 its slope was nan
     (["constants", "--eps-list", "1e-300,1e-301,1e-302"], {}, "--eps-list"),
     (["constants", "--eps-list", "1e-150,1e-151,1e-152"], {}, "--eps-list"),
     (["constants", "--eps-list", "0.2,0.1,0.05,2"], {}, "eps must lie in"),
     (["constants", "--eps-list", "nan,0.1,0.05"], {}, "eps must lie in"),
+    # a --cases beyond its bound
+    (["check", "--cases", "10001"], {}, "--cases"),
 ])
 def test_malformed_flags_are_usage_errors(args, env, named):
     r = run_cli(*args, env={**os.environ, **env})
