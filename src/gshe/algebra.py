@@ -28,11 +28,10 @@ class LinComb:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
+    def __init__(self, pairs=()):
         self.terms = {}
-        if terms:
-            for g, c in (terms.items() if isinstance(terms, dict) else terms):
-                self._add(g, c)
+        for g, c in pairs:
+            self._add(g, c)
 
     def _add(self, g, c):
         if not isinstance(c, Fraction):

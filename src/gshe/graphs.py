@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class StructureError(ValueError):
@@ -71,63 +71,39 @@ class PairingError(ValueError):
         self.pair = pair
 
 
-def _perm_closure(perms, n):
-    """Close a set of permutations of 1..n (1-based tuples) under composition."""
-    ident = tuple(range(1, n + 1))
-    group = {ident}
-    frontier = [tuple(p) for p in perms]
-    for p in frontier:
-        if len(p) != n or sorted(p) != list(ident):
-            raise ValueError(f"{p} is not a permutation of 1..{n}")
-    while frontier:
-        p = frontier.pop()
-        if p in group:
-            continue
-        group.add(p)
-        for q in list(group):
-            for r in (tuple(p[q[i] - 1] for i in range(n)),
-                      tuple(q[p[i] - 1] for i in range(n))):
-                if r not in group:
-                    frontier.append(r)
-    return frozenset(group)
-
-
 _TYPE_UIDS = itertools.count()
 
 
 @dataclass(frozen=True)
 class GeneratorType:
-    """A generator with native input/output slots and optional slot symmetry.
+    """A generator with native input/output slots.
 
-    ``in_sym`` / ``out_sym`` list permutations (1-based tuples) under which
-    the generator is declared invariant; the stored groups are closed under
-    composition and always contain the identity.
+    Each side's slots are either all interchangeable (``symmetric_in`` /
+    ``symmetric_out``) or not at all: the Christoffel symbol is symmetric in
+    its two inputs, the merged noise pair in its two outputs.
     """
 
     name: str
     in_arity: int
     out_arity: int
-    in_sym: frozenset = field(default=())
-    out_sym: frozenset = field(default=())
+    symmetric_in: bool = False
+    symmetric_out: bool = False
 
     def __post_init__(self):
-        ins = _perm_closure(self.in_sym or (), self.in_arity)
-        outs = _perm_closure(self.out_sym or (), self.out_arity)
-        object.__setattr__(self, "in_sym", ins)
-        object.__setattr__(self, "out_sym", outs)
-        group = tuple(itertools.product(sorted(ins), sorted(outs)))
+        def perms(n, symmetric):
+            ident = tuple(range(1, n + 1))
+            return tuple(itertools.permutations(ident)) if symmetric else (ident,)
+
+        group = tuple(itertools.product(perms(self.in_arity, self.symmetric_in),
+                                        perms(self.out_arity, self.symmetric_out)))
         object.__setattr__(self, "_group", group)
-        object.__setattr__(self, "_in_orb",
-                           tuple(min(p[j] for p in ins) for j in range(self.in_arity)))
-        object.__setattr__(self, "_out_orb",
-                           tuple(min(p[j] for p in outs) for j in range(self.out_arity)))
         # Tells this type apart from every other one in ``XGraph._memo_key``.
         object.__setattr__(self, "_uid", next(_TYPE_UIDS))
 
     def __reduce__(self):
         # A copy, in this process or another, is built anew with its own id.
         return GeneratorType, (self.name, self.in_arity, self.out_arity,
-                               self.in_sym, self.out_sym)
+                               self.symmetric_in, self.symmetric_out)
 
     @property
     def slot_group(self):
@@ -135,10 +111,10 @@ class GeneratorType:
         return self._group
 
     def in_orbit(self, j):
-        return self._in_orb[j - 1]
+        return 1 if self.symmetric_in else j
 
     def out_orbit(self, j):
-        return self._out_orb[j - 1]
+        return 1 if self.symmetric_out else j
 
     def __repr__(self):
         return f"GeneratorType({self.name!r}, {self.in_arity}, {self.out_arity})"

@@ -56,9 +56,10 @@ def random_graph(rng: random.Random, gens, max_vertices=4, max_low=2,
     raise RuntimeError("could not sample a valid graph with these parameters")
 
 
-def random_lincomb(rng, gens, n_terms=2, coeff_range=3, **kw):
+def random_lincomb(rng, gens, n_terms=2, **kw):
     """Random combination of ``n_terms`` terms, each drawn by ``random_graph``
-    with ``kw`` (so ``degree`` fixes them all); raises if it falls short."""
+    with ``kw`` (so ``degree`` fixes them all) at a coefficient in -3..3;
+    raises if it falls short."""
     from .algebra import LinComb
 
     out, draws = LinComb(), 0
@@ -67,7 +68,7 @@ def random_lincomb(rng, gens, n_terms=2, coeff_range=3, **kw):
             raise RuntimeError(f"could not draw {n_terms} distinct terms")
         draws += 1
         g = random_graph(rng, gens, **kw)
-        c = rng.randint(-coeff_range, coeff_range)
+        c = rng.randint(-3, 3)
         if c:
             out = out + LinComb.of(g, c)
     return out

@@ -54,59 +54,54 @@ def heat_kernel(t, x):
 class Mollifier:
     """Compactly supported space-time mollifier, even in x, zero for t <= 0.
 
-    The default profile is the product of one-sided and symmetric polynomial
-    bumps, normalised in closed form: rho(t,x) = c (t(1-t))^2 (1-x^2)^2 on
-    (0,1) x (-1,1).
+    The profile is the product of one-sided and symmetric polynomial bumps
+    on (0,1) x (-1,1), normalised in closed form: rho(t,x) = c (t(1-t))^p
+    (1-x^2)^p, with p = 2 by default.
     """
 
     power: int = 2
-    t_support: float = 1.0
-    x_support: float = 1.0
+
+    @property
+    def time_mass(self):
+        """int_0^1 (t(1-t))^p dt = B(p+1, p+1)."""
+        p = self.power
+        return math.gamma(p + 1) ** 2 / math.gamma(2 * p + 2)
 
     @property
     def normalization(self):
-        # int_0^1 (t(1-t))^p dt = B(p+1, p+1); int_-1^1 (1-x^2)^p dx
+        # the time mass times int_-1^1 (1-x^2)^p dx
         p = self.power
-        tint = math.gamma(p + 1) ** 2 / math.gamma(2 * p + 2) * self.t_support
-        xint = (math.gamma(p + 1) * math.gamma(0.5) / math.gamma(p + 1.5)) \
-            * self.x_support
-        return 1.0 / (tint * xint)
+        xint = math.gamma(p + 1) * math.gamma(0.5) / math.gamma(p + 1.5)
+        return 1.0 / (self.time_mass * xint)
 
     def __call__(self, t, x):
-        t = np.asarray(t, dtype=float) / self.t_support
-        x = np.asarray(x, dtype=float) / self.x_support
+        t = np.asarray(t, dtype=float)
+        x = np.asarray(x, dtype=float)
         inside = (t > 0) & (t < 1) & (np.abs(x) < 1)
         tt = np.where(inside, t, 0.5)
         xx = np.where(inside, x, 0.0)
         val = (tt * (1 - tt)) ** self.power * (1 - xx * xx) ** self.power
-        return np.where(inside, val * self.normalization
-                        / (self.t_support * self.x_support), 0.0)
+        return np.where(inside, val * self.normalization, 0.0)
 
     def time_profile_nodes(self, eps, n=32):
         """Nodes s and weights w q_eps(s) for the parabolic time profile.
 
         The profile q_eps(s) = eps^-2 q(s / eps^2) integrates to one; the
-        default mollifier is separable so rho_eps = q_eps(s) w_eps(y).
+        mollifier is separable so rho_eps = q_eps(s) w_eps(y).
         """
         si, sw = _leggauss(n)
-        ss = (si + 1) / 2 * self.t_support * eps ** 2
-        sws = sw * self.t_support * eps ** 2 / 2
-        q = (ss / (eps ** 2 * self.t_support)
-             * (1 - ss / (eps ** 2 * self.t_support))) ** self.power
-        p = self.power
-        q_mass = math.gamma(p + 1) ** 2 / math.gamma(2 * p + 2) \
-            * self.t_support * eps ** 2
-        return ss, sws * q / q_mass
+        ss = (si + 1) / 2 * eps ** 2
+        sws = sw * eps ** 2 / 2
+        q = (ss / eps ** 2 * (1 - ss / eps ** 2)) ** self.power
+        return ss, sws * q / (self.time_mass * eps ** 2)
 
     def spatial_hat(self, xi):
         """Fourier cosine transform of the unit-mass spatial profile."""
-        yi, yw = _leggauss(96)
-        ys = yi * self.x_support
-        w = (1 - (ys / self.x_support) ** 2) ** self.power
-        w_mass = float(w @ (yw * self.x_support))
+        ys, yw = _leggauss(96)
+        w = (1 - ys ** 2) ** self.power
+        w_mass = float(w @ yw)
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        hat = np.array([float((w * np.cos(x * ys)) @ (yw * self.x_support))
-                        for x in xi])
+        hat = np.array([float((w * np.cos(x * ys)) @ yw) for x in xi])
         return hat / w_mass
 
 
@@ -124,7 +119,7 @@ def cbar_estimate(rho: Mollifier, eps: float, xi_nodes=200, s_nodes=32,
     """
     if not (0 < eps <= 1):
         raise ValueError("eps must lie in (0, 1]")
-    T = rho.t_support * eps ** 2
+    T = eps ** 2
     xi_grid = np.geomspace(1e-3 / eps, 60.0 / eps, xi_nodes)
     xi_edges = np.concatenate(([xi_grid[0] * 0.5],
                                np.sqrt(xi_grid[1:] * xi_grid[:-1]),
@@ -191,10 +186,9 @@ def k3_integral(rho: Mollifier, eps: float, radius=1.0, t_nodes=220,
     """
     if not (0 < eps <= 1):
         raise ValueError("eps must lie in (0, 1]")
-    st, wt = sx, wx = _leggauss(quad_nodes)
-    ms = (st + 1) / 2 * rho.t_support
-    mx = sx * rho.x_support
-    mw = np.outer(wt * rho.t_support / 2, wx * rho.x_support)
+    mx, wx = _leggauss(quad_nodes)
+    ms = (mx + 1) / 2
+    mw = np.outer(wx / 2, wx)
     mvals = rho(*np.meshgrid(ms, mx, indexing="ij")) * mw * eps
 
     t_lo, t_hi = 1e-3, 1.3 / eps ** 2 + 2.0
@@ -206,7 +200,7 @@ def k3_integral(rho: Mollifier, eps: float, radius=1.0, t_nodes=220,
     xi, xw = xi[half], np.where(xi[half] > 0, 2.0, 1.0) * xw[half]
     r2_cut = radius * radius
     total = 0.0
-    for t, wt_ in zip(ts, t_w):
+    for t, wt in zip(ts, t_w):
         # the kernel is nonzero where tau = eps^2 (t - s) > 0: a prefix of
         # the mollifier times, since ms ascends
         tau = (t - ms) * eps ** 2
@@ -228,7 +222,7 @@ def k3_integral(rho: Mollifier, eps: float, radius=1.0, t_nodes=220,
             kern *= _smooth_cutoff(np.sqrt(q) / radius)
         weights = mvals[:len(tau)] / np.sqrt(4.0 * math.pi * tau)[:, None]
         vals = kern.reshape(len(y2), -1) @ weights.ravel()
-        total += wt_ * float((vals ** 3) @ (xw[live] * scale))
+        total += wt * float((vals ** 3) @ (xw[live] * scale))
     return total
 
 

@@ -27,9 +27,9 @@ from .algebra import LinComb, generator
 from .graphs import GeneratorType, PairingError, XGraph
 
 NOISE = GeneratorType("Xi", 0, 1)
-GAMMA = GeneratorType("Gamma", 2, 1, in_sym=((2, 1),))
+GAMMA = GeneratorType("Gamma", 2, 1, symmetric_in=True)
 DIFF = GeneratorType("h", 0, 1)
-GPAIR = GeneratorType("g", 0, 2, out_sym=((2, 1),))
+GPAIR = GeneratorType("g", 0, 2, symmetric_out=True)
 
 GENERATORS = {t.name: t for t in (NOISE, GAMMA, DIFF, GPAIR)}
 
@@ -59,10 +59,10 @@ def _trees(n):
         return generator(NOISE)
     from .morphisms import nabla
 
-    terms = {}
+    trees = {}
     for k in range(1, n):
-        terms.update(dict.fromkeys(nabla(_trees(k), _trees(n - k)).terms, 1))
-    return LinComb(terms)
+        trees.update(dict.fromkeys(nabla(_trees(k), _trees(n - k)).terms))
+    return LinComb((t, 1) for t in trees)
 
 
 def _pairings(items):

@@ -46,7 +46,7 @@ def test_dims_contains_dim_s_row(tmp_path):
     (["dims"],
      "af9da8a3e6a38630e887b4d6a87c8f25c84c75f3ee68069698d6906261062527"),
     (["constants"],
-     "f3794c440c4bc428be98c5839b17b7cba1270e7f9adaf159c47ea9f0d95ce893"),
+     "e4d7a4afa1366f23a3e40ab5deceb34c808506ba87f0a7fd95f0f44d9031014e"),
     (["ou", "--mc"],
      "63fde3f90469e512d376b44c481ee7215feceeb43bed2f05c9e8c7914bd82f88"),
 ])

@@ -334,9 +334,19 @@ def test_parse_error_line_numbers():
     assert "more than 10 vertices" in str(exc.value)
 
 
-def test_perm_closure_validates():
-    with pytest.raises(ValueError):
-        GeneratorType("bad", 2, 1, in_sym=((1, 1),))
+def test_slot_groups_and_orbits_are_pinned():
+    # the identity pair comes first and the swaps in lexicographic order;
+    # the canonical search, and so the golden files, depend on this order
+    want = {
+        NOISE: ((((), (1,)),), (), (1,)),
+        GAMMA: ((((1, 2), (1,)), ((2, 1), (1,))), (1, 1), (1,)),
+        DIFF: ((((), (1,)),), (), (1,)),
+        GPAIR: ((((), (1, 2)), ((), (2, 1))), (), (1, 1)),
+    }
+    for t, (group, ins, outs) in want.items():
+        assert t.slot_group == group
+        assert tuple(map(t.in_orbit, range(1, t.in_arity + 1))) == ins
+        assert tuple(map(t.out_orbit, range(1, t.out_arity + 1))) == outs
 
 
 def has_twins(g):
@@ -438,7 +448,7 @@ def test_memo_hits_equal_the_search(monkeypatch):
 def test_memo_tells_same_named_types_apart():
     # one name, two slot symmetries, the same wiring: two entries
     plain = GeneratorType("T", 2, 1)
-    symmetric = GeneratorType("T", 2, 1, in_sym=((2, 1),))
+    symmetric = GeneratorType("T", 2, 1, symmetric_in=True)
     wiring = {(0, 1): ("u", 1), (1, 1): (0, 1), (2, 1): (0, 2)}
     graphs._MEMO.clear()
     auts = [XGraph(1, 0, (t, NOISE, NOISE), wiring).aut_count()

@@ -54,8 +54,8 @@ def test_nabla_flat_projection(rng):
         x = generator(labeled_noise(1))
         y = generator(labeled_noise(2))
         nb = nabla(x, y)
-        flat = LinComb({g: c for g, c in nb.terms.items()
-                        if all(t.name != GAMMA.name for t in g.types)})
+        flat = LinComb((g, c) for g, c in nb.terms.items()
+                       if all(t.name != GAMMA.name for t in g.types))
         assert flat == graft(x, y)
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gshe import checks
+from gshe.algebra import LinComb, coproduct, tensor_inner, trace_graph
 from gshe.graphs import XGraph
 from gshe.randgraphs import random_graph, random_lincomb
 from gshe.symbols import DIFF, GAMMA, GPAIR, NOISE, labeled_noise
@@ -121,3 +122,39 @@ def test_pre_lie_and_jacobi_operands_hold_christoffel_vertices(
     monkeypatch.setattr(checks, "random_lincomb", recording)
     assert all(not failed for _, _, failed in suite(cases=cases))
     assert any(GAMMA in g.types for g in drawn)
+
+
+def failures(rows):
+    return {claim: failed for claim, _, failed in rows if failed}
+
+
+def test_trace_claims_see_coefficients(monkeypatch):
+    # the traced operands of trtensor and trace_pair carry a coefficient
+    # other than 1, so a trace that drops each term's coefficient fails
+    def dropping(a):
+        return LinComb((trace_graph(g), 1) for g in a.terms)
+
+    monkeypatch.setattr(checks, "trace", dropping)
+    assert failures(checks.suite_talgebra(cases=5))["trtensor"] == 5
+    assert failures(checks.suite_adjoint(cases=40))["trace_pair"] > 0
+
+
+def test_product_pair_sees_a_swapped_coproduct(monkeypatch):
+    # in every other case h is the product of the two factors, so at least
+    # half the pairings are nonzero and a coproduct whose tensor factors
+    # trade places fails
+    pairings = []
+
+    def recording(*args):
+        pairings.append(tensor_inner(*args))
+        return pairings[-1]
+
+    monkeypatch.setattr(checks, "tensor_inner", recording)
+    assert not failures(checks.suite_adjoint(cases=40))
+    assert sum(map(bool, pairings)) >= 20
+
+    def swapped(a):
+        return {(y, x): c for (x, y), c in coproduct(a).items()}
+
+    monkeypatch.setattr(checks, "coproduct", swapped)
+    assert failures(checks.suite_adjoint(cases=40))["product_pair"] > 0

@@ -14,11 +14,11 @@ from gshe.renorm import (_NOISE_BLOCK_BYTES, K3_SLOPE, Mollifier, SimConfig,
 
 
 def mollifier_mass(rho, n=400):
-    """Midpoint-rule integral of the mollifier over its support."""
-    ts = (np.arange(n) + 0.5) / n * rho.t_support
-    xs = (np.arange(2 * n) + 0.5) / n * rho.x_support - rho.x_support
+    """Midpoint-rule integral of the mollifier over (0,1) x (-1,1)."""
+    ts = (np.arange(n) + 0.5) / n
+    xs = (np.arange(2 * n) + 0.5) / n - 1
     tt, xx = np.meshgrid(ts, xs, indexing="ij")
-    return rho(tt, xx).sum() * (rho.t_support / n) * (rho.x_support / n)
+    return rho(tt, xx).sum() / n ** 2
 
 
 def heat_kernel_mass(t, nodes=400):
@@ -114,7 +114,7 @@ def ref_cbar_estimate(rho, eps, xi_nodes=200, s_nodes=32, t_nodes=48):
     pair, the pairs with s >= t masked to exp(-inf) = 0."""
     if not (0 < eps <= 1):
         raise ValueError("eps must lie in (0, 1]")
-    T = rho.t_support * eps ** 2
+    T = eps ** 2
     xi_grid = np.geomspace(1e-3 / eps, 60.0 / eps, xi_nodes)
     xi_edges = np.concatenate(([xi_grid[0] * 0.5],
                                np.sqrt(xi_grid[1:] * xi_grid[:-1]),
@@ -145,10 +145,9 @@ def ref_k3_integral(rho, eps, radius=1.0, t_nodes=220, x_nodes=48,
                     quad_nodes=12):
     """The full-grid form of ``k3_integral``: the cutoff kernel on every x
     node and mollifier node at every t node."""
-    st, wt = sx, wx = _leggauss(quad_nodes)
-    ms = (st + 1) / 2 * rho.t_support
-    mx = sx * rho.x_support
-    mw = np.outer(wt * rho.t_support / 2, wx * rho.x_support)
+    mx, wx = _leggauss(quad_nodes)
+    ms = (mx + 1) / 2
+    mw = np.outer(wx / 2, wx)
     mts, mxs = np.meshgrid(ms, mx, indexing="ij")
     mvals = (rho(mts, mxs) * mw).ravel()
     mts, mxs = mts.ravel(), mxs.ravel()
@@ -202,8 +201,8 @@ def test_cbar_estimate_matches_full_grid(eps, power, kw):
 
 def test_cbar_is_exactly_scale_invariant():
     # every node and weight scales by a power of two across the halvings,
-    # so cbar repeats bit for bit; `gshe constants` prints
-    # cbar_halving_stability 0.000e+00 because of it
+    # so cbar repeats bit for bit; a relative change between consecutive
+    # `gshe constants` values would be derived, not evidence, so it has no row
     vals = {cbar_estimate(Mollifier(), e) for e in (0.2, 0.1, 0.05, 0.025)}
     assert len(vals) == 1
 
