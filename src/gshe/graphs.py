@@ -120,14 +120,20 @@ class GeneratorType:
         return f"GeneratorType({self.name!r}, {self.in_arity}, {self.out_arity})"
 
 
+def _is_out_slot(src, l, types):
+    a, j = src
+    if a == "l":
+        return 1 <= j <= l
+    return isinstance(a, int) and 0 <= a < len(types) and 1 <= j <= types[a].out_arity
+
+
 def _check_wiring(u, l, types, wiring):
-    out_slots = {("l", k) for k in range(1, l + 1)}
-    for v, t in enumerate(types):
-        out_slots.update((v, j) for j in range(1, t.out_arity + 1))
-    if wiring.keys() != out_slots:
-        extra = [src for src in wiring if src not in out_slots]
+    # The domain is checked slot by slot and then counted, without building
+    # the set of all output slots, so a huge ``l`` costs no memory.
+    extra = next((src for src in wiring if not _is_out_slot(src, l, types)), None)
+    if extra is not None or len(wiring) != l + sum(t.out_arity for t in types):
         raise StructureError("wiring domain does not match the output slot set",
-                             extra[0] if extra else None)
+                             extra)
     counts = {}
     last = {}
     for src, dst in wiring.items():
@@ -167,7 +173,9 @@ def _norm_src(s):
 # slowest canonicalisations are colour classes with few automorphisms: a
 # directed cycle of n noises searches (n-1)! orderings, 0.8 s at n = 9 and
 # 10 s at n = 10 (two 5-cycles 3 s), measured on a 2-vCPU x86-64 host under
-# CPython 3.11.
+# CPython 3.11.  ``XGraph._wl_colors`` packs colour ranks, which stay below
+# this limit, as one decimal digit: raising it needs a wider code there and
+# regenerated golden files.
 MAX_VERTICES = 10
 
 # Canonicalisation memo: ``XGraph._memo_key()`` -> (the minimal leaf's
@@ -326,7 +334,34 @@ class XGraph:
                 for (a, j), (b, k) in self.wiring.items()]
 
     def _wl_colors(self, edges):
-        """Iterated refinement of isomorphism-invariant vertex colors."""
+        """Iterated refinement of isomorphism-invariant vertex colours.
+
+        A vertex's first colour is the rank of (type name, sorted external
+        slots) among the vertices' first colours, in ``repr`` order.  Each
+        round ranks the pairs (colour, sorted neighbour list), where a
+        neighbour entry (kind, out orbit, in orbit, neighbour colour) is
+        packed as the int ``1000 kind + 100 oa + 10 ob + colour``.  Every
+        field is one digit: kinds are 0-2, orbits are at most the generators'
+        arities (at most 9) and colours are ranks below ``MAX_VERTICES``
+        (10), so the packed order is the entries' tuple order.
+
+        The ranks equal those of ranking the nested tuples by ``repr``, the
+        order the canonical forms and the golden files were first made with
+        (the search's block order comes from them).  For one-digit fields
+        ``repr`` order is tuple order except where one neighbour list is a
+        prefix of another, and the list's sort key covers those cases:
+
+        - two or more entries: the tuple of codes, so a shorter prefix sorts
+          first (``)`` sorts below ``,``);
+        - one entry: ``(code, 10000)``, so a longer list with the same first
+          entry sorts first (the ``,)`` of a 1-tuple sorts above ``, ``);
+        - no entry: ``(9999,)``, after every non-empty list (``(`` sorts
+          below ``)``).
+
+        Colours of 10 or more would break both the packing and these rules,
+        so a larger ``MAX_VERTICES`` needs a wider code and regenerated
+        golden files.
+        """
         n = self.n_vertices
         types = self.types
         ext = [[] for _ in range(n)]
@@ -338,23 +373,31 @@ class XGraph:
             elif b < 0:
                 ext[a].append((0, jb, types[a].out_orbit(ja)))
             else:
-                inner.append((a, types[a].out_orbit(ja), b, ob))
+                oa = types[a].out_orbit(ja)
+                inner.append((a, 100 * oa + 10 * ob, b, 1000 + 100 * ob + 10 * oa))
         pairs = [sorted(p) for p in self.pairing]
-        colors = [(types[v].name, tuple(sorted(ext[v]))) for v in range(n)]
+        first = [(types[v].name, tuple(sorted(ext[v]))) for v in range(n)]
+        ranked = {c: i for i, c in enumerate(sorted(set(first), key=repr))}
+        colors = [ranked[c] for c in first]
+        n_colors = len(ranked)
         for _ in range(n):
             nbrs = [[] for _ in range(n)]
-            for a, oa, b, ob in inner:
-                nbrs[a].append((0, oa, ob, colors[b]))
-                nbrs[b].append((1, ob, oa, colors[a]))
+            for a, code_a, b, code_b in inner:
+                nbrs[a].append(code_a + colors[b])
+                nbrs[b].append(code_b + colors[a])
             for a, b in pairs:
-                nbrs[a].append((2, 0, 0, colors[b]))
-                nbrs[b].append((2, 0, 0, colors[a]))
-            new = [(colors[v], tuple(sorted(nbrs[v], key=repr))) for v in range(n)]
-            ranked = {c: i for i, c in enumerate(sorted(set(new), key=repr))}
-            refined = [ranked[c] for c in new]
-            if len(set(refined)) == len(set(colors)):
-                return refined
-            colors = refined
+                nbrs[a].append(2000 + colors[b])
+                nbrs[b].append(2000 + colors[a])
+            new = []
+            for c, codes in zip(colors, nbrs):
+                codes.sort()
+                new.append((c, tuple(codes) if len(codes) > 1
+                            else (codes[0], 10000) if codes else (9999,)))
+            ranked = {c: i for i, c in enumerate(sorted(set(new)))}
+            colors = [ranked[c] for c in new]
+            if len(ranked) == n_colors:
+                return colors
+            n_colors = len(ranked)
         return colors
 
     def _encode(self, edges, order, choices):

@@ -268,6 +268,8 @@ GRAPH_OK = "xgraph u=1 l=0\nv 0 Xi\ne 0.out:1 -> up:1\n"
     ("xgraph u=0 l=0 junk=3\n", False, 1),
     (GRAPH_OK + "xgraph u=1 l=0\n", False, 4),
     ("1 * 2 * {\n" + GRAPH_OK + "}\n", True, 1),
+    # a huge l is rejected without building its slot set
+    ("xgraph u=0 l=1000000000\nv 0 Xi\ne 0.out:1 -> 0.star\n", False, 1),
 ])
 @pytest.mark.parametrize("command", ["parse", "print"])
 def test_malformed_input_reports_line(tmp_path, command, text, lincomb,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gshe import checks, graphs, morphisms, subspaces
+from gshe import checks, graphs, morphisms, subspaces, symbols
 from gshe.algebra import (LinComb, act_graph, cut_graph, derive_vertex_graph,
                           parse_lincomb, product_graph, substitute_vertex)
 from gshe.checks import _brute_aut
@@ -363,21 +363,23 @@ def has_twins(g):
     return False
 
 
-def mixed_graphs(rng, count):
-    """Random graphs of up to 7 vertices, paired and unpaired in turn, many
-    of them with twins (star leaves of a shared vertex) or with vertices
-    that refinement cannot split although they are no twins (cycles)."""
+def mixed_graphs(rng, count, n=7, max_low=2):
+    """Random graphs of up to n vertices and ``max_low`` external low slots,
+    paired and unpaired in turn, many of them with twins (star leaves of a
+    shared vertex) or with vertices that refinement cannot split although
+    they are no twins (cycles)."""
     all_gens = [NOISE, GAMMA, DIFF, GPAIR]
     for i in range(count):
         paired = i % 2 == 1
         if i % 3 == 0:
-            yield random_graph(rng, all_gens, max_vertices=7, pair_noises=paired)
+            yield random_graph(rng, all_gens, max_vertices=n, max_low=max_low,
+                               pair_noises=paired)
         elif i % 3 == 1:
-            g = random_graph(rng, all_gens, max_vertices=3, max_low=1,
-                             pair_noises=paired)
-            yield with_leaves(rng, g, rng.randint(2, 7 - g.n_vertices), paired)
+            g = random_graph(rng, all_gens, max_vertices=3,
+                             max_low=max_low - 1, pair_noises=paired)
+            yield with_leaves(rng, g, rng.randint(2, n - g.n_vertices), paired)
         else:
-            yield cycles(rng, rng.randint(2, 6), paired)
+            yield cycles(rng, rng.randint(2, n - 1), paired)
 
 
 def test_canonical_search_matches_exhaustive_search():
@@ -407,6 +409,58 @@ def test_refinement_and_encoding_match_the_dict_walk():
                            key=lambda v: (colors[v], rng.random()))
             assert g._encode(edges, order, choices) \
                 == [ref_encode(g, order, ch) for ch in choices], (i, format_graph(g))
+
+
+def test_refinement_matches_the_repr_ranking():
+    # the packed int colours equal the oracle's ranks of nested tuples by
+    # repr, rank for rank, on graphs up to the vertex limit, with external
+    # slots of 10 and more, and on the 54-symbol basis
+    gs = list(mixed_graphs(random.Random(2023), 4000, n=MAX_VERTICES,
+                           max_low=13))
+    assert sum(g.n_vertices == MAX_VERTICES for g in gs) > 250
+    assert sum(g.l >= 10 for g in gs) > 500
+    gs += symbols.full_basis()
+    for i, g in enumerate(gs):
+        assert g._wl_colors(g._edges()) == ref_wl_colors(g), (i, format_graph(g))
+
+
+SLOTLESS = GeneratorType("o", 0, 0)  # a vertex type with no slots at all
+
+
+@pytest.mark.parametrize("types, wiring", [
+    # h vertices 1 and 2 both feed 0's star, and only 2 has a star leaf: a
+    # one-entry list ranks after a longer list with the same first entry
+    ([DIFF, DIFF, DIFF, NOISE],
+     {(0, 1): ("u", 1), (1, 1): (0, 0), (2, 1): (0, 0), (3, 1): (2, 0)}),
+    # slotless vertices 1 and 2, only 2 with a star leaf: the empty list
+    # ranks after every non-empty one
+    ([DIFF, SLOTLESS, SLOTLESS, NOISE], {(0, 1): ("u", 1), (3, 1): (2, 0)}),
+    # like the first, with one star leaf on 1 and two on 2: a list of two
+    # entries ranks before a longer list it is a prefix of
+    ([DIFF, DIFF, DIFF, NOISE, NOISE, NOISE],
+     {(0, 1): ("u", 1), (1, 1): (0, 0), (2, 1): (0, 0), (3, 1): (1, 0),
+      (4, 1): (2, 0), (5, 1): (2, 0)}),
+], ids=["one-entry", "empty", "prefix"])
+def test_refinement_prefix_rules(types, wiring):
+    # vertices 1 and 2 share their first colour and are told apart only by
+    # the rule named: the oracle's repr order ranks them
+    g = XGraph(1, 0, types, wiring)
+    colors = g._wl_colors(g._edges())
+    assert colors == ref_wl_colors(g)
+    assert colors[1] != colors[2]
+
+
+def test_packed_colour_code_fits():
+    # _wl_colors packs each neighbour entry as one decimal digit per field,
+    # which needs colour ranks below 10 and slot orbits of at most 9
+    assert MAX_VERTICES <= 10, (
+        "colour ranks reach 10: widen _wl_colors's packed code and regenerate "
+        "the golden files (ROADMAP item 4)")
+    gens = list(symbols.GENERATORS.values()) + [symbols.labeled_noise(1)]
+    for t in gens:
+        assert max(t.in_arity, t.out_arity) <= 9, (
+            f"{t} has more than 9 slots on a side: widen _wl_colors's packed "
+            "code and regenerate the golden files (ROADMAP item 4)")
 
 
 def canon_summary(g):
