@@ -23,13 +23,19 @@ an automorphism, and a subtree that a found automorphism maps onto an explored
 one is not searched again: it takes the explored subtree's minimum and hit
 count.  Twins (the star leaves of one vertex), paired stars, cycles and
 swapped components are all pruned this way (McKay & Piperno, "Practical graph
-isomorphism, II", J. Symb. Comput. 60, 2014).
+isomorphism, II", J. Symb. Comput. 60, 2014).  Once a leaf has come out worse
+than the best one, a prefix whose lower bound on every encoding below it
+exceeds the best leaf is not searched either (branch and bound); this is what
+keeps a class with few automorphisms, such as a directed cycle of noises,
+from visiting every ordering.  Both prunings are exact: the minimum and the
+hit count are those of the full search.
 
 The search's result is a function of the raw structure alone (degree,
 vertex types, wiring, pairing), so a bounded module memo maps that structure
-to the minimal leaf's ordering and its hit count; a graph whose structure
-was canonicalised before skips refinement and search and only re-encodes
-that one ordering.  See ``_MEMO`` for the key, the value and the bound.
+to the minimal leaf's ordering, its slot choice and its hit count; a graph
+whose structure was canonicalised before skips refinement and search and
+only encodes that one ordering under that one choice.  See ``_MEMO`` for the
+key, the value and the bound.
 
 ``XGraph(...)`` checks the wiring and the pairing.  The operations that
 rebuild a graph from parts of valid graphs (products, traces, derivations,
@@ -169,28 +175,42 @@ def _norm_src(s):
 
 
 # The largest graph ``XGraph`` and ``XGraph._trusted`` accept, which bounds
-# canonicalisation time; a product of two valid graphs can exceed it.  The
-# slowest canonicalisations are colour classes with few automorphisms: a
-# directed cycle of n noises searches (n-1)! orderings, 0.8 s at n = 9 and
-# 10 s at n = 10 (two 5-cycles 3 s), measured on a 2-vCPU x86-64 host under
-# CPython 3.11.  ``XGraph._wl_colors`` packs colour ranks, which stay below
+# canonicalisation time; a product of two valid graphs can exceed it.  Colour
+# classes with few automorphisms were the slowest canonicalisations: without
+# the search's prefix bound a directed cycle of n noises searched (n-1)!
+# orderings, 6-10 s at n = 10 and 2-3 s for two 5-cycles; with it each
+# takes under 1 ms, measured on a 2-vCPU x86-64 host under CPython 3.11 (the
+# paired 8-leaf star, with 384 automorphisms, takes 2-5 ms).
+# ``XGraph._wl_colors`` packs colour ranks, which stay below
 # this limit, as one decimal digit: raising it needs a wider code there and
 # regenerated golden files.
 MAX_VERTICES = 10
 
-# Canonicalisation memo: ``XGraph._memo_key()`` -> (the minimal leaf's
-# vertex ordering as bytes, automorphism count).  The key spells out the
-# degree, a per-object id of each vertex type, the pairs and the wiring edges
-# in dict order, so equal keys mean equal raw structures; the same structure
-# wired in another insertion order only misses.  It is exact because the
-# minimal encoding, the ordering the search keeps and the hit count depend on
-# the raw structure alone.  The value is an ordering rather than the
-# canonical graph: the graph is rebuilt by re-encoding that ordering under
-# every slot choice, so an entry holds a key of some 40 bytes, the ordering
-# and the count (about 240 bytes in all, with the dict's share) and no graph,
-# and a hit takes its types from the graph at hand.  When full, the memo is
-# cleared; at 1 << 14 entries it holds about 4 MB, and `gshe check --suite
-# talgebra` at 500 cases, the largest user of it, fills about 12,000.
+
+def _packed(ints):
+    """``ints`` as ``bytes`` when all lie in 0..255, else as a tuple."""
+    try:
+        return bytes(ints)
+    except ValueError:
+        return tuple(ints)
+
+
+# Canonicalisation memo: ``XGraph._memo_key()`` -> (packed leaf,
+# automorphism count).  The packed leaf is the minimal leaf's vertex
+# ordering followed by its slot choice, per vertex the index of its
+# (in, out) permutation pair in the type's ``slot_group``, as ``bytes`` (a
+# tuple if an index passes 255).  The key spells out the degree, a
+# per-object id of each vertex type, the pairs and the wiring edges in dict
+# order, so equal keys mean equal raw structures; the same structure wired
+# in another insertion order only misses.  It is exact because the minimal
+# encoding, the ordering the search keeps and the hit count depend on the
+# raw structure alone.  The value is a leaf rather than the canonical graph:
+# the graph is rebuilt by encoding that ordering under that one slot choice,
+# so an entry holds a key of some 40 bytes, the packed leaf and the count
+# (about 240 bytes in all, with the dict's share) and no graph, and a hit
+# takes its types from the graph at hand.  When full, the memo is cleared;
+# at 1 << 14 entries it holds about 4 MB, and `gshe check --suite talgebra`
+# at 500 cases, the largest user of it, fills about 12,000.
 _MEMO = {}
 _MEMO_CAP = 1 << 14
 
@@ -426,44 +446,52 @@ class XGraph:
         reach the minimum: that count is the order of the automorphism
         group.  ``_search`` walks the orderings as a tree of prefixes and
         skips every subtree that a found automorphism maps onto one it has
-        already explored, taking that subtree's (minimum, hits) instead.
+        already explored, taking that subtree's (minimum, hits) instead, and
+        every subtree whose ``_PrefixBound`` exceeds the best leaf found.
         Refined colours that are all distinct leave a single ordering, the
         search's one leaf, which is encoded without the tree.  A raw
         structure found in ``_MEMO`` skips refinement and search: its stored
-        ordering, under every slot choice, gives the minimum.  The wiring is
+        ordering, under its stored slot choice, gives the minimum, and the
+        product of the slot choices is built only on a miss.  The wiring is
         read once, into ``_edges()``, for the memo key, the refinement and
         every encoding.
         """
         if self._canon is not None:
             g, hits = self._canon[:2]
             return (self if g is None else g), hits
-        choices = list(itertools.product(*(t.slot_group for t in self.types)))
+        n = len(self.types)
         edges = self._edges()
         memo_key = self._memo_key(edges)
         known = _MEMO.get(memo_key)
         if known is None:
+            choices = list(itertools.product(*(t.slot_group for t in self.types)))
             by_color = {}
             for v, c in enumerate(self._wl_colors(edges)):
                 by_color.setdefault(c, []).append(v)
-            if len(by_color) == len(self.types):
+            if len(by_color) == n:
                 # Discrete colours: the search's one leaf, without the tree.
                 order = [by_color[c][0] for c in sorted(by_color)]
                 encs = self._encode(edges, order, choices)
                 best = min(encs)
                 hits = encs.count(best)
+                choice = choices[encs.index(best)]
             else:
                 classes = [by_color[c] for c in sorted(by_color) for _ in by_color[c]]
-                state = [None, None, []]
+                state = [None, None, None, [], None]
                 encode = functools.partial(self._encode, edges, choices=choices)
-                best, hits = _search(encode, classes, [], state)
-                order = state[1]
-            order = bytes(order)
+                make_bound = functools.partial(_PrefixBound, self, edges, classes)
+                best, hits = _search(encode, make_bound, classes, [], state)
+                order, choice = state[1], choices[state[2]]
+            packed = _packed(list(order) + [t.slot_group.index(c)
+                                            for t, c in zip(self.types, choice)])
             if len(_MEMO) >= _MEMO_CAP:
                 _MEMO.clear()
-            _MEMO[memo_key] = order, hits
+            _MEMO[memo_key] = packed, hits
         else:
-            order, hits = known
-            best = min(self._encode(edges, order, choices))
+            packed, hits = known
+            order = packed[:n]
+            choice = tuple(t.slot_group[i] for t, i in zip(self.types, packed[n:]))
+            best = self._encode(edges, order, (choice,))[0]
         _, entries, pairs = best
         g = XGraph._trusted(
             self.u, self.l, [self.types[v] for v in order],
@@ -494,10 +522,7 @@ class XGraph:
         key += sorted(min(p) * n + max(p) for p in self.pairing)
         for a, j, b, k in edges:
             key += (a + 1, j, b + 1, k)
-        try:
-            return bytes(key)
-        except ValueError:
-            return tuple(key)
+        return _packed(key)
 
     def canonical_key(self):
         if self._canon is None:
@@ -526,13 +551,109 @@ class _Unwind(Exception):
     """A leaf tied the best leaf; ``args[0]`` is the depth to unwind to."""
 
 
-def _search(encode, classes, order, state):
+class _PrefixBound:
+    """A lower bound on the encodings of every leaf below an ordering prefix,
+    compared with the best leaf's encoding ``best`` (``set_best``).
+
+    Every leaf has the same vertex names and the same sorted sources (the
+    external lows, then each position's out slots), so its entries are one
+    target per source, in a fixed source order, and only the targets vary.
+    Each target is bounded below by (position, slot): a placed vertex's
+    position, and for an unplaced one max(k, the first position of its
+    colour class), k being the prefix length; the slot is 0 for a star,
+    1 for a symmetric input and the input itself otherwise.  A source
+    vertex with symmetric outputs takes its targets' bounds sorted, and the
+    unfilled positions of a class take the sorted blocks of its unplaced
+    members.  The pairs are bounded as sorted (min, max) position bounds.
+    Each bound is no larger than the value of any leaf below, so the whole
+    is a lexicographic lower bound on the encodings.
+    """
+
+    __slots__ = ("low", "out", "sym", "sym_spans", "first", "classes",
+                 "pairs", "best_targets", "best_pairs")
+
+    def __init__(self, graph, edges, classes, best):
+        types = graph.types
+        low = {}
+        out = [[None] * t.out_arity for t in types]
+        for a, ja, b, jb in edges:
+            # b == -1 (an external up slot) reads position -1 in ``exceeds``.
+            slot = jb if b < 0 or not (jb and types[b].symmetric_in) else 1
+            if a < 0:
+                low[ja] = (b, slot)
+            else:
+                out[a][ja - 1] = (b, slot)
+        self.low = [low[j] for j in sorted(low)]
+        self.out = out
+        self.sym = [t.symmetric_out for t in types]
+        # (position, start, stop) of each symmetric-out block of the targets
+        self.sym_spans = []
+        first = {}
+        start = len(self.low)
+        for i, cls in enumerate(classes):
+            for v in cls:
+                first.setdefault(v, i)
+            t = types[cls[0]]
+            if t.symmetric_out:
+                self.sym_spans.append((i, start, start + t.out_arity))
+            start += t.out_arity
+        self.first = [first[v] for v in range(len(types))]
+        self.classes = classes
+        self.pairs = [tuple(p) for p in graph.pairing]
+        self.set_best(best)
+
+    def set_best(self, best):
+        self.best_targets = [d for _, d in best[1]]
+        self.best_pairs = list(best[2])
+
+    def exceeds(self, order):
+        """Whether the bound below the prefix ``order`` is strictly greater
+        than the best encoding.  The targets of the external lows and the
+        placed positions decide most calls, so they are compared first."""
+        k = len(order)
+        pos = [f if f > k else k for f in self.first]
+        for i, v in enumerate(order):
+            pos[v] = i
+        pos.append(-1)
+        out = self.out
+        bound = [(pos[b], slot) for b, slot in self.low]
+        bound += [(pos[b], slot) for v in order for b, slot in out[v]]
+        for i, start, stop in self.sym_spans:
+            if i >= k:
+                break
+            bound[start:stop] = sorted(bound[start:stop])
+        targets = self.best_targets
+        head = targets[:len(bound)]
+        if bound != head:
+            return bound > head
+        sym = self.sym
+        classes = self.classes
+        i = k
+        while i < len(classes):
+            blocks = []
+            for v in classes[i]:
+                if pos[v] >= k:
+                    blk = [(pos[b], slot) for b, slot in out[v]]
+                    blocks.append(sorted(blk) if sym[v] else blk)
+            blocks.sort()
+            for blk in blocks:
+                bound += blk
+            i += len(blocks)
+        if bound != targets:
+            return bound > targets
+        return sorted((x, y) if x < y else (y, x) for x, y in
+                      ((pos[a], pos[b]) for a, b in self.pairs)) > self.best_pairs
+
+
+def _search(encode, make_bound, classes, order, state):
     """(Minimal encoding, hits) over the leaves below the prefix ``order``.
 
     ``encode(order)`` lists the graph's encodings under every slot choice.
-    ``classes[i]`` is the colour class that fills position i.  ``state`` is
-    [best encoding, best leaf's ordering, found automorphisms as vertex
-    maps], shared by the whole search.
+    ``make_bound(best)`` builds the graph's ``_PrefixBound``.  ``classes[i]``
+    is the colour class that fills position i.  ``state`` is [best
+    encoding, best leaf's ordering, the index of its slot choice in
+    ``encode``'s list, found automorphisms as vertex maps, the bound or
+    None], shared by the whole search.
 
     A leaf tries every slot choice.  A leaf that ties the best leaf gives an
     automorphism, ``best_order[i] -> order[i]``, which fixes their common
@@ -541,23 +662,33 @@ def _search(encode, classes, order, state):
     search unwinds to depth ``k`` and gives the current child the result
     recorded for the best leaf's child.  Likewise a child in the orbit of
     an explored sibling, under the found automorphisms that fix the prefix,
-    takes that sibling's result.  Each reuse is exact, so the minimum and
-    the hits equal those of the full search.
+    takes that sibling's result.
+
+    The first leaf that comes out worse than the best one builds the bound;
+    from then on every child whose prefix bound is strictly greater than
+    the best encoding is skipped, since no leaf below it can reach the
+    minimum, and takes (best, 0 hits).  A search whose leaves all tie (twins
+    only) builds no bound.  Each reuse and each skip is exact, so the
+    minimum and the hits equal those of the full search.
     """
     depth = len(order)
     if depth == len(classes):
         encs = encode(order)
         low = min(encs)
         hits = encs.count(low)
-        best, best_order, autos = state
+        best, best_order, _, autos, bound = state
         if best is None or low < best:
-            state[0], state[1] = low, list(order)
+            state[:3] = low, list(order), encs.index(low)
+            if bound is not None:
+                bound.set_best(low)
         elif low == best:
             autos.append(dict(zip(best_order, order)))
             raise _Unwind(next(i for i, (a, b) in enumerate(zip(best_order, order))
                                if a != b))
+        elif bound is None:
+            state[4] = make_bound(best)
         return low, hits
-    autos = state[2]
+    autos = state[3]
     # Automorphisms found below this node fix its prefix: an unwind past
     # this node would have ended it.
     gens = [a for a in autos if all(a[w] == w for w in order)]
@@ -581,7 +712,13 @@ def _search(encode, classes, order, state):
             continue
         order.append(v)
         try:
-            done[v] = _search(encode, classes, order, state)
+            # A leaf child is encoded without a bound check: its bound is
+            # nearly its encoding, so the check seldom saves what it costs.
+            if (state[4] is not None and depth + 1 < len(classes)
+                    and state[4].exceeds(order)):
+                done[v] = state[0], 0
+            else:
+                done[v] = _search(encode, make_bound, classes, order, state)
         except _Unwind as exc:
             if exc.args[0] != depth:
                 raise

@@ -36,10 +36,7 @@ def rref(mat):
     """
     if not mat:
         return [], []
-    rows = []
-    for row in mat:
-        denom = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (denom // x.denominator) for x in row])
+    rows = [_integer_row(row) for row in mat]
     n, m = len(rows), len(rows[0])
     pivots = []
     r = 0
@@ -66,6 +63,13 @@ def rref(mat):
         g = gcd(*row) if row[c] > 0 else -gcd(*row)
         out.append([x // g for x in row])
     return out, pivots
+
+
+def _integer_row(row):
+    """``row`` (ints and/or Fractions) times the lcm of its denominators:
+    the same rank, the same zeros, integer arithmetic."""
+    denom = lcm(*(x.denominator for x in row))
+    return [x.numerator * (denom // x.denominator) for x in row]
 
 
 def rank(mat):
@@ -241,23 +245,27 @@ def verify_functionals():
     geo, ito = s_geo(), s_ito()
     flats = flat_symbols()
 
+    # Every functional row is cleared to integers first (``_integer_row``),
+    # which keeps the zero tests and the rank and leaves the products below
+    # to ints: the rows of ``geo`` and ``ito`` are integer already.
+
     # the star pairing annihilates the Ito space
     star = _nice_star_symbol()
-    star_vec = _pairing_row(LinComb.of(star))
+    star_vec = _integer_row(_pairing_row(LinComb.of(star)))
     ito_perp = all(sum(c * v for c, v in zip(star_vec, w)) == 0 for w in ito)
 
     # (1/2) star - mixed - (1/2) same-slot pairing annihilates the geo space
     same, mixed = _gamma_root_pairings()
     combo = (Fraction(1, 2) * LinComb.of(star) - LinComb.of(mixed)
              - Fraction(1, 2) * LinComb.of(same))
-    combo_vec = _pairing_row(combo)
+    combo_vec = _integer_row(_pairing_row(combo))
     geo_perp = all(sum(c * v for c, v in zip(combo_vec, w)) == 0 for w in geo)
 
     # the flat pairings plus five curvature functionals have rank 15 over S_geo
     functionals = [_pairing_row(LinComb.of(s)) for s in flats]
     functionals += [_pairing_row(v) for v in _extra_geo_functionals()]
-    gram = [[sum(f[i] * w[i] for i in range(54)) for w in geo]
-            for f in functionals]
+    gram = [[sum(c * v for c, v in zip(f, w)) for w in geo]
+            for f in map(_integer_row, functionals)]
     rk = rank(gram)
 
     rows = [

@@ -6,6 +6,7 @@ import pickle
 import random
 import re
 import sys
+import time
 from importlib import resources
 
 import pytest
@@ -382,16 +383,44 @@ def mixed_graphs(rng, count, n=7, max_low=2):
             yield cycles(rng, rng.randint(2, n - 1), paired)
 
 
-def test_canonical_search_matches_exhaustive_search():
+# Two Christoffel vertices of one colour, each fed on different input slots:
+# the prefix bound must treat their symmetric inputs as slot 1, and the
+# seeded graphs seldom decide a bound on such a slot.
+CHRISTOFFEL_PAIRS = [parse_graph(text, GENERATORS) for text in (
+    "xgraph u=0 l=0\nv 0 Gamma\nv 1 Gamma\nv 2 Xi\nv 3 Xi\n"
+    "e 0.out:1 -> 1.in:2\ne 1.out:1 -> 0.in:2\n"
+    "e 2.out:1 -> 0.in:1\ne 3.out:1 -> 1.in:1",
+    "xgraph u=0 l=0\nv 0 Gamma\nv 1 Gamma\nv 2 h\nv 3 h\n"
+    "e 0.out:1 -> 0.in:2\ne 1.out:1 -> 1.in:1\n"
+    "e 2.out:1 -> 0.in:1\ne 3.out:1 -> 1.in:2",
+)]
+
+
+def test_canonical_search_matches_exhaustive_search(monkeypatch):
     # keys and automorphism counts equal those of the full search; the memo
-    # is cleared before each case, so it is the search that is compared
-    with_twins = 0
-    for i, g in enumerate(mixed_graphs(random.Random(4242), 450)):
+    # is cleared before each case, so it is the search that is compared, and
+    # the prefix bound skips subtrees in enough cases to be tested here
+    exceeds = graphs._PrefixBound.exceeds
+    skips = 0
+
+    def counted(self, order):
+        nonlocal skips
+        hit = exceeds(self, order)
+        skips += hit
+        return hit
+
+    monkeypatch.setattr(graphs._PrefixBound, "exceeds", counted)
+    with_twins = with_skips = 0
+    gs = list(mixed_graphs(random.Random(4242), 450)) + CHRISTOFFEL_PAIRS
+    for i, g in enumerate(gs):
         with_twins += has_twins(g)
         graphs._MEMO.clear()
+        before = skips
         assert (g.canonical_key(), g.aut_count()) == ref_canonicalize(g), \
             (i, format_graph(g))
+        with_skips += skips > before
     assert with_twins > 100
+    assert with_skips >= 50
 
 
 def test_refinement_and_encoding_match_the_dict_walk():
@@ -656,6 +685,9 @@ def _noise_cycles(*lengths):
     (_noise_cycles(7), 7),
     (_noise_cycles(4, 4), 4 * 4 * 2),
     (_noise_cycles(3, 3, 3), 3 ** 3 * math.factorial(3)),
+    (_noise_cycles(10), 10),
+    (_noise_cycles(5, 5), 5 * 5 * 2),
+    (_noise_cycles(3, 3, 4), 3 * 3 * 2 * 4),
 ])
 def test_symmetric_graphs_closed_form(g, aut):
     rng = random.Random(7)
@@ -668,6 +700,18 @@ def test_symmetric_graphs_closed_form(g, aut):
         prints.add(format_graph(h.canonicalize()[0]))
     assert len(prints) == 1
     assert g.aut_count() == aut
+
+
+def test_noise_cycles_canonicalise_in_bounded_time():
+    # one colour class whose automorphisms fix no vertex beyond the first:
+    # without the prefix bound the 10-cycle searches the 9! orderings below
+    # its first vertex (seconds); with it the three take about 2 ms
+    gs = [_noise_cycles(10), _noise_cycles(5, 5), _noise_cycles(3, 3, 4)]
+    graphs._MEMO.clear()
+    start = time.perf_counter()
+    for g in gs:
+        g.canonicalize()
+    assert time.perf_counter() - start < 2
 
 
 BASIS_BLOCKS = [b for b in resources.files("gshe.data").joinpath("basis.txt")
