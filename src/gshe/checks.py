@@ -166,10 +166,13 @@ def suite_adjoint(seed=0, cases=500):
                                     degree=(t.u - 1, t.l - 1)))
         tally("trace_pair",
               inner(trace(T), S) == inner(T, trace_adjoint(S)))
-        # h's degree split in two; noises reach any (u <= 2, l) in two vertices
+        # h's degree split in two, each factor keeping an external slot if
+        # h has two; noises reach any (u <= 2, l) in two vertices
         h = random_graph(rng, GENS, max_vertices=4)
-        u = rng.randint(max(0, h.u - 2), min(2, h.u))
-        l = rng.randint(0, h.l)
+        splits = [(u, l) for u in range(max(0, h.u - 2), min(2, h.u) + 1)
+                  for l in range(h.l + 1)]
+        u, l = rng.choice([s for s in splits if 0 < sum(s) < h.u + h.l]
+                          or splits)
         P = LinComb.of(random_graph(rng, GENS, max_vertices=2, degree=(u, l)))
         Q = LinComb.of(random_graph(rng, GENS, max_vertices=2,
                                     degree=(h.u - u, h.l - l)))

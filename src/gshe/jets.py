@@ -15,6 +15,9 @@ Christoffel jet, evaluates each graph by contraction (each distinct rooted
 subtree once per valuation), and extends linearly:
 a paired symbol is the sum over its labellings, each evaluated as it comes
 (nothing is merged or canonicalised first), added into one tensor jet.
+The oracles the valuation is checked against (curvature, counterterms,
+Levi-Civita) use two primitives of their own: ``covariant_derivative``
+(``derive`` plus a connection term per slot) and ``contract`` (an einsum).
 """
 
 from __future__ import annotations
@@ -596,23 +599,111 @@ def inverse_metric(sigmas) -> TensorJet:
     return out
 
 
+def contract(spec, *tensors) -> TensorJet:
+    """Einsum over tensor-jet keys, e.g. ``contract("bza,cez->bcea", G, G)``.
+
+    Each input's letters name its key slots, (lower..., upper...); a letter
+    repeated anywhere is summed over, one that occurs once is free and keeps
+    its slot's kind.  The output lists the free letters, lower ones first.
+    Absent components are skipped; the order is the least input order.
+    """
+    ins, out = spec.split("->")
+    ins = ins.split(",")
+    if len(ins) != len(tensors) or not set(out) <= set("".join(ins)):
+        raise ValueError(f"{spec!r} does not fit {len(tensors)} tensors")
+    lower = set()
+    for letters, t in zip(ins, tensors):
+        if len(letters) != t.l + t.u:
+            raise DegreeError(f"{letters!r} does not fit {t!r}")
+        lower.update(letters[:t.l])
+    n_low = sum(x in lower for x in out)
+    if any(x in lower for x in out[n_low:]):
+        raise DegreeError(f"{spec!r}: output lower slots must come first")
+    order = min(t.order for t in tensors)
+    comps = {}
+    for key, j in _einsum(ins, out, tensors):
+        _accumulate(comps, key, j, order)
+    return TensorJet(len(out) - n_low, n_low, tensors[0].d, order, comps)
+
+
+def _einsum(ins, out, tensors):
+    """Yield (output key, product jet) for each choice of one component per
+    input that agrees on every shared letter, for the caller to add up.
+
+    Components are grouped by the letters earlier inputs bind and walked
+    depth first, so no partial sum is built.  Keys are ``tuple([...])``:
+    the free list recycles exact-size tuples, not ``tuple(<generator>)``.
+    """
+    plan, bound = [], set()
+    for letters, t in zip(ins, tensors):
+        slot = {x: letters.index(x) for x in letters}  # first slot per letter
+        shared = [x for x in slot if x in bound]
+        groups = {}
+        for k, tj in t.comps.items():
+            if all(v == k[slot[x]] for x, v in zip(letters, k)):
+                groups.setdefault(tuple([k[slot[x]] for x in shared]),
+                                  []).append((k, tj))
+        plan.append((shared, [(x, p) for x, p in slot.items()
+                              if x not in bound], groups))
+        bound.update(slot)
+    return _walk(out, plan, {}, None)
+
+
+def _walk(out, plan, values, j):
+    """The products below the partial choice ``values`` with product j."""
+    if not plan:
+        yield tuple([values[x] for x in out]), j
+        return
+    shared, new, groups = plan[0]
+    for k, tj in groups.get(tuple([values[x] for x in shared]), ()):
+        pj = tj if j is None else j * tj
+        if pj:
+            for x, p in new:
+                values[x] = k[p]
+            yield from _walk(out, plan[1:], values, pj)
+
+
+def _truncated(t: TensorJet, order) -> TensorJet:
+    return TensorJet(t.u, t.l, t.d, order,
+                     {k: j.truncate(order) for k, j in t.comps.items()})
+
+
+def covariant_derivative(gamma: TensorJet, t: TensorJet) -> TensorJet:
+    """nabla t, the new lower slot first as ``derive`` puts it.
+
+    One connection term per slot of t: +Gamma^a_{zn} t^{..n..} for an upper
+    slot a, -Gamma^n_{zb} t_{..n..} for a lower slot b.  Gamma is cut to the
+    result's order first, so every product is taken at that order.
+    """
+    order = min(t.order - 1, gamma.order)
+    gamma = _truncated(gamma, order)
+    minus = -1 * gamma
+    comps = {}
+    for k, j in t.derive().comps.items():
+        _accumulate(comps, k, j, order)
+    slots = "abcdefghijklmnopqrstuvwxy"[:t.l + t.u]
+    for p, x in enumerate(slots):
+        head, g = (f"Z{x}z", minus) if p < t.l else (f"Zz{x}", gamma)
+        for k, j in _einsum([head, f"{slots[:p]}z{slots[p + 1:]}"],
+                            f"Z{slots}", (g, t)):
+            _accumulate(comps, k, j, order)
+    return TensorJet(t.u, t.l + 1, t.d, order, comps)
+
+
 def levi_civita(sigmas) -> TensorJet:
-    """Christoffel jets of the Levi-Civita connection of sum sigma sigma^T."""
+    """Christoffel jets of the Levi-Civita connection of sum sigma sigma^T.
+
+    Gamma^a_{bc} = 1/2 g^{ae} (d_b g_{ec} + d_c g_{eb} - d_e g_{bc}).
+    """
     d, order = sigmas[0].d, sigmas[0].order
     ginv = inverse_metric(sigmas)
-    ginv_mat = [[ginv.comp((a, b)) for b in range(d)] for a in range(d)]
-    gmat = matrix_inverse(ginv_mat)
-    comps = {}
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                total = zero_jet(d, order)
-                for e in range(d):
-                    term = (gmat[e][c].partial(b) + gmat[e][b].partial(c)
-                            - gmat[b][c].partial(e))
-                    total = total + ginv_mat[a][e] * term
-                comps[(b, c, a)] = Fraction(1, 2) * total
-    return TensorJet(1, 2, d, order - 1, comps)
+    gmat = matrix_inverse([[ginv.comp((a, b)) for b in range(d)]
+                           for a in range(d)])
+    dg = TensorJet(0, 2, d, order, {(e, c): gmat[e][c] for e in range(d)
+                                    for c in range(d)}).derive()
+    return Fraction(1, 2) * (contract("bec,ae->bca", dg, ginv)
+                             + contract("ceb,ae->bca", dg, ginv)
+                             - contract("ebc,ae->bca", dg, ginv))
 
 
 def riemann(gamma: TensorJet) -> TensorJet:
@@ -621,69 +712,15 @@ def riemann(gamma: TensorJet) -> TensorJet:
     comps[(b, c, e, a)] is the a-component of R(e_b, e_c) e_e =
     (nabla_b nabla_c - nabla_c nabla_b) e_e, antisymmetric in (b, c).
     """
-    d, order = gamma.d, gamma.order
-
-    def G(a, b, c):
-        return gamma.comp((b, c, a))
-
+    # A = d_b G^a_ce + G^a_bz G^z_ce at (b, c, e, a); R = A - (A, b <-> c)
+    order = gamma.order - 1
+    cut = _truncated(gamma, order)
     comps = {}
-    for b in range(d):
-        for c in range(d):
-            for e in range(d):
-                for a in range(d):
-                    j = G(a, c, e).partial(b) - G(a, b, e).partial(c)
-                    for z in range(d):
-                        j = j + G(a, b, z) * G(z, c, e) - G(a, c, z) * G(z, b, e)
-                    comps[(b, c, e, a)] = j
-    return TensorJet(1, 3, d, order - 1, comps)
-
-
-def covariant_vector_derivative(gamma: TensorJet, x: TensorJet, y: TensorJet):
-    """(nabla_X Y)^a = X^b d_b Y^a + Gamma^a_{bc} X^b Y^c."""
-    d, order = y.d, y.order - 1
-    comps = {}
-    for a in range(d):
-        j = zero_jet(d, order)
-        for b in range(d):
-            j = j + x.comp((b,)) * y.comp((a,)).partial(b)
-            for c in range(d):
-                j = j + gamma.comp((b, c, a)) * x.comp((b,)) * y.comp((c,))
-        comps[(a,)] = j
-    return TensorJet(1, 0, d, order, comps)
-
-
-def nabla_inverse_metric(gamma: TensorJet, ginv: TensorJet) -> TensorJet:
-    """(nabla_z g)^{ab} as a (2,1) tensor with key (z, a, b)."""
-    d, order = ginv.d, ginv.order - 1
-    comps = {}
-    for z in range(d):
-        for a in range(d):
-            for b in range(d):
-                j = ginv.comp((a, b)).partial(z)
-                for n in range(d):
-                    j = (j + gamma.comp((z, n, a)) * ginv.comp((n, b))
-                         + gamma.comp((z, n, b)) * ginv.comp((a, n)))
-                comps[(z, a, b)] = j
-    return TensorJet(2, 1, d, order, comps)
-
-
-def nabla_riemann(gamma: TensorJet, riem: TensorJet) -> TensorJet:
-    """(nabla_z R)^a_{b,c,e} as a (1,4) tensor with key (z, b, c, e, a)."""
-    d, order = riem.d, riem.order - 1
-    comps = {}
-    for z in range(d):
-        for b in range(d):
-            for c in range(d):
-                for e in range(d):
-                    for a in range(d):
-                        j = riem.comp((b, c, e, a)).partial(z)
-                        for n in range(d):
-                            j = j + gamma.comp((z, n, a)) * riem.comp((b, c, e, n))
-                            j = j - gamma.comp((z, b, n)) * riem.comp((n, c, e, a))
-                            j = j - gamma.comp((z, c, n)) * riem.comp((b, n, e, a))
-                            j = j - gamma.comp((z, e, n)) * riem.comp((b, c, n, a))
-                        comps[(z, b, c, e, a)] = j
-    return TensorJet(1, 4, d, order, comps)
+    for k, j in itertools.chain(gamma.derive().comps.items(),
+                                _einsum(["bza", "cez"], "bcea", (cut, cut))):
+        _accumulate(comps, k, j, order)
+        _accumulate(comps, (k[1], k[0]) + k[2:], -j, order)
+    return TensorJet(1, 3, gamma.d, order, comps)
 
 
 def curvature_counterterm(gamma: TensorJet, sigmas) -> TensorJet:
@@ -692,64 +729,23 @@ def curvature_counterterm(gamma: TensorJet, sigmas) -> TensorJet:
     The X slot contracts against the inverse metric, the (Y, Z) pair against
     the covariant derivative of the inverse metric.
     """
-    d = gamma.d
-    riem = riemann(gamma)
     ginv = inverse_metric(sigmas)
-    ng = nabla_inverse_metric(gamma, ginv)
-    order = min(riem.order, ng.order)
-    comps = {}
-    for a in range(d):
-        j = zero_jet(d, order)
-        for b in range(d):
-            for c in range(d):
-                for e in range(d):
-                    for z in range(d):
-                        j = j - riem.comp((b, c, e, a)) * ginv.comp((b, z)) \
-                            * ng.comp((z, c, e))
-        comps[(a,)] = j
-    return TensorJet(1, 0, d, order, comps)
+    return -1 * contract("bcea,bz,zce->a", riemann(gamma), ginv,
+                         covariant_derivative(gamma, ginv))
 
 
 def gradient_counterterm(gamma: TensorJet, sigmas) -> TensorJet:
     """(nabla_z R)^a_{b,c,e} g^{zc} g^{be}: the expected value of tau_c."""
-    d = gamma.d
-    riem = riemann(gamma)
     ginv = inverse_metric(sigmas)
-    nr = nabla_riemann(gamma, riem)
-    order = nr.order
-    comps = {}
-    for a in range(d):
-        j = zero_jet(d, order)
-        for z in range(d):
-            for b in range(d):
-                for c in range(d):
-                    for e in range(d):
-                        j = j + nr.comp((z, b, c, e, a)) * ginv.comp((z, c)) \
-                            * ginv.comp((b, e))
-        comps[(a,)] = j
-    return TensorJet(1, 0, d, order, comps)
+    return contract("zbcea,zc,be->a",
+                    covariant_derivative(gamma, riemann(gamma)), ginv, ginv)
 
 
 def scalar_curvature_gradient(gamma: TensorJet, sigmas) -> TensorJet:
     """g^{az} d_z (g^{ce} Ric_{ce}) with Ric_{ce} = R^a_{a,c,e}."""
-    d = gamma.d
-    riem = riemann(gamma)
     ginv = inverse_metric(sigmas)
-    order = riem.order
-    scal = zero_jet(d, order)
-    for c in range(d):
-        for e in range(d):
-            ric = zero_jet(d, order)
-            for a in range(d):
-                ric = ric + riem.comp((a, c, e, a))
-            scal = scal + ginv.comp((c, e)) * ric
-    comps = {}
-    for a in range(d):
-        j = zero_jet(d, order - 1)
-        for z in range(d):
-            j = j + ginv.comp((a, z)) * scal.partial(z)
-        comps[(a,)] = j
-    return TensorJet(1, 0, d, order - 1, comps)
+    scal = contract("acea,ce->", riemann(gamma), ginv)
+    return contract("z,az->a", scal.derive(), ginv)
 
 
 # -- sphere embedding ----------------------------------------------------------

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from gshe.algebra import LinComb, act, derive, product, trace
 from gshe.jets import (InversionError, Jet, TensorJet, Valuation,
-                       curvature_counterterm, covariant_vector_derivative,
+                       contract, covariant_derivative,
+                       curvature_counterterm,
                        gradient_counterterm, inverse_metric, jet_inv_sqrt,
-                       levi_civita, matrix_inverse, nabla_inverse_metric,
-                       random_gamma, random_jet, random_vector_field,
-                       riemann, scalar_curvature_gradient, sphere_frame,
+                       levi_civita, matrix_inverse, random_gamma, random_jet,
+                       random_vector_field, riemann,
+                       scalar_curvature_gradient, sphere_frame,
                        tensors_agree, vector_jet, zero_jet, _mat_mul)
-from gshe.graphs import ParseError, XGraph
+from gshe.graphs import DegreeError, ParseError, XGraph
 from gshe.morphisms import M_ito, m_ito, tau_c, tau_star
 from gshe.randgraphs import random_graph, random_lincomb, random_permutation
 from gshe.subspaces import from_coords, intersect, s_geo, s_nice
@@ -174,9 +175,91 @@ def test_levi_civita_metric_compatibility(rng):
     sig[1] = sig[1] + vector_jet(d, order, [zero_jet(d, order),
                                             Jet.constant(d, order, 5)])
     gamma = levi_civita(sig)
-    ng = nabla_inverse_metric(gamma, inverse_metric(sig))
+    ng = covariant_derivative(gamma, inverse_metric(sig))
     for k in ng.comps:
         assert not ng.comp(k).truncate(order - 3)
+
+
+def test_levi_civita_lower_metric_is_parallel(rng):
+    # the lower metric g = (g^-1)^-1 has nabla g = 0 in every slot
+    d, order = 2, 6
+    sig = [random_vector_field(rng, d, order) for _ in range(d)]
+    for a in range(d):
+        shift = [Jet.constant(d, order, 5 if b == a else 0) for b in range(d)]
+        sig[a] = sig[a] + vector_jet(d, order, shift)
+    ginv = inverse_metric(sig)
+    gmat = matrix_inverse([[ginv.comp((a, b)) for b in range(d)]
+                           for a in range(d)])
+    g = TensorJet(0, 2, d, order, {(a, b): gmat[a][b] for a in range(d)
+                                   for b in range(d)})
+    ng = covariant_derivative(levi_civita(sig), g)
+    assert ng.degree == (0, 3) and ng.order == order - 1
+    assert not ng
+
+
+def _random_tensor(rng, u, l, d, order):
+    return TensorJet(u, l, d, order,
+                     {k: random_jet(rng, d, order)
+                      for k in itertools.product(range(d), repeat=u + l)})
+
+
+def test_covariant_derivative_of_a_scalar_is_derive(rng):
+    d, order = 2, 4
+    gamma = random_gamma(rng, d, order)
+    s = _random_tensor(rng, 0, 0, d, order)
+    assert covariant_derivative(gamma, s) == s.derive()
+    assert covariant_derivative(gamma, s).order == s.derive().order
+
+
+def test_covariant_derivative_commutes_with_trace(rng):
+    d, order = 2, 4
+    gamma = random_gamma(rng, d, order)
+    for _ in range(3):
+        t = _random_tensor(rng, 1, 1, d, order)
+        assert tensors_agree(covariant_derivative(gamma, t).trace(),
+                             covariant_derivative(gamma, t.trace()))
+
+
+def test_covariant_derivative_leibniz(rng):
+    # the slot permutation of suite_talgebra's "leibniz" claim: the new
+    # lower slot of the second factor moves in front of the first's
+    from gshe.algebra import block_perm, identity_perm, swap_perm
+
+    d, order = 2, 4
+    gamma = random_gamma(rng, d, order)
+    for da, db in (((1, 0), (0, 1)), ((1, 1), (2, 0)), ((0, 2), (1, 1))):
+        a = _random_tensor(rng, *da, d, order)
+        b = _random_tensor(rng, *db, d, order)
+        sl = (block_perm(identity_perm(a.u), identity_perm(b.u)),
+              block_perm(swap_perm(a.u, a.l, 0, 1)[1], identity_perm(b.l)))
+        lhs = covariant_derivative(gamma, a.product(b))
+        rhs = covariant_derivative(gamma, a).product(b) \
+            + a.product(covariant_derivative(gamma, b)).act(sl)
+        assert tensors_agree(lhs, rhs), (da, db)
+
+
+def test_contract_matches_product_and_trace(rng):
+    d, order = 2, 3
+    h = _random_tensor(rng, 0, 2, d, order)
+    g = _random_tensor(rng, 2, 0, d, order)
+    t = _random_tensor(rng, 1, 1, d, order)
+    assert tensors_agree(contract("ab,ab->", h, g),
+                         h.product(g).trace().trace())
+    # t_x^a g^{yb} h_{ab}: a lower slot of h meets the upper slot of t
+    assert tensors_agree(contract("xa,yb,ab->xy", t, g, h),
+                         contract("ab,xa->xb", h, t).product(g).trace())
+
+
+def test_contract_rejects_malformed_specs(rng):
+    gamma = random_gamma(rng, 2, 2)
+    with pytest.raises(ValueError):
+        contract("bza->bza", gamma, gamma)
+    with pytest.raises(ValueError):
+        contract("bza->bzq", gamma)
+    with pytest.raises(DegreeError):
+        contract("bz->bz", gamma)
+    with pytest.raises(DegreeError):
+        contract("bza->abz", gamma)
 
 
 def test_levi_civita_kills_tau_star(rng):
@@ -234,11 +317,38 @@ def test_riemann_antisymmetry(rng):
                         == -1 * riem.comp((c, b, e, a))
 
 
+def ref_riemann(gamma):
+    """R^a_{bce} as the index loop of its definition."""
+    d = gamma.d
+
+    def G(a, b, c):
+        return gamma.comp((b, c, a))
+
+    comps = {}
+    for b, c, e, a in itertools.product(range(d), repeat=4):
+        j = G(a, c, e).partial(b) - G(a, b, e).partial(c)
+        for z in range(d):
+            j = j + G(a, b, z) * G(z, c, e) - G(a, c, z) * G(z, b, e)
+        comps[(b, c, e, a)] = j
+    return TensorJet(1, 3, d, gamma.order - 1, comps)
+
+
+@pytest.mark.parametrize("d,order", [(2, 4), (3, 3)])
+def test_riemann_matches_index_loop(rng, d, order):
+    gamma = random_gamma(rng, d, order)
+    got, want = riemann(gamma), ref_riemann(gamma)
+    assert got == want and got.order == want.order
+
+
 def test_riemann_matches_defining_identity(rng):
     # evaluate nabla_X nabla_Y Z - nabla_Y nabla_X Z on coordinate fields
     d, order = 2, 5
     gamma = random_gamma(rng, d, order)
     riem = riemann(gamma)
+
+    def nabla(x, y):
+        return covariant_derivative(gamma, y).contract_lower(1, x)
+
     for b in range(d):
         for c in range(d):
             eb = vector_jet(d, order, [Jet.constant(d, order,
@@ -251,10 +361,7 @@ def test_riemann_matches_defining_identity(rng):
                 ee = vector_jet(d, order, [Jet.constant(d, order,
                                                         1 if i == e else 0)
                                            for i in range(d)])
-                lhs = covariant_vector_derivative(
-                    gamma, eb, covariant_vector_derivative(gamma, ec, ee)) \
-                    - covariant_vector_derivative(
-                        gamma, ec, covariant_vector_derivative(gamma, eb, ee))
+                lhs = nabla(eb, nabla(ec, ee)) - nabla(ec, nabla(eb, ee))
                 for a in range(d):
                     assert lhs.value((a,)) == riem.value((b, c, e, a))
 
@@ -270,7 +377,7 @@ def test_sphere_frame_identities():
             assert g0.value((a, b)) == expect
     total = None
     for s in sigmas:
-        t = covariant_vector_derivative(gamma, s, s)
+        t = covariant_derivative(gamma, s).contract_lower(1, s)
         total = t if total is None else total + t
     assert all(total.value((a,)) == 0 for a in range(d))
     for i in range(d):

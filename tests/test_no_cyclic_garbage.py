@@ -9,7 +9,9 @@ import gc
 import random
 
 from gshe.checks import suite_adjoint, suite_identities
-from gshe.jets import Valuation, random_gamma, random_vector_field
+from gshe.jets import (Jet, Valuation, curvature_counterterm,
+                       gradient_counterterm, levi_civita, random_gamma,
+                       random_vector_field, vector_jet)
 from gshe.morphisms import tau_c, tau_star
 from gshe.symbols import GAMMA, enumerate_basis, full_basis
 
@@ -32,6 +34,15 @@ def test_no_cyclic_garbage():
                 val(a)
         assert val._subtree_values
         del val  # a cycle through the Valuation is garbage only once dropped
+        # the oracles: covariant derivatives and contractions
+        gamma = random_gamma(rng, 2, 3)
+        sigmas = [random_vector_field(rng, 2, 3) for _ in range(2)]
+        curvature_counterterm(gamma, sigmas)
+        gradient_counterterm(gamma, sigmas)
+        frame = [s + vector_jet(2, 3, [Jet.constant(2, 3, 5 * (a == b))
+                                       for b in range(2)])
+                 for a, s in enumerate(sigmas)]
+        levi_civita(frame)
         assert gc.collect() == 0
     finally:
         gc.enable()
