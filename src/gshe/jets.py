@@ -6,15 +6,21 @@ densely: integer numerators over one positive common denominator, in a
 graded monomial order shared by every jet order, so the monomials of degree
 <= r are a prefix of the list and truncation is a slice.  Products run over
 cached index tables; every result divides out the gcd of its denominator and
-numerators, which keeps the representation canonical.  ``TensorJet`` carries
+numerators, which keeps the representation canonical.  One kernel, ``_dot``,
+takes every product: a sum of products is added up in one pass over the
+table into one numerator list and normalised once, so a contraction sums
+each output component in one pass.  ``TensorJet`` carries
 a (u, l)-indexed family of jets and realises the tensor operations mirroring
 the graph side: slot permutation, product, trace of the last upper/lower
-pair, derivation prepending a lower slot.  The valuation maps noise
+pair, derivation prepending a lower slot; a sum is taken at the lesser
+order, every component cut to it.  The valuation maps noise
 generators to vector-field jets and the Christoffel generator to twice the
 Christoffel jet, evaluates each graph by contraction (each distinct rooted
-subtree once per valuation), and extends linearly:
+subtree once per valuation and order), and extends linearly:
 a paired symbol is the sum over its labellings, each evaluated as it comes
-(nothing is merged or canonicalised first), added into one tensor jet.
+(nothing is merged or canonicalised first), added into one tensor jet.  It
+works out the result's order first and evaluates every graph at that order,
+so no coefficient above it is computed.
 The oracles the valuation is checked against (curvature, counterterms,
 Levi-Civita) use two primitives of their own: ``covariant_derivative``
 (``derive`` plus a connection term per slot) and ``contract`` (an einsum).
@@ -96,6 +102,27 @@ def _jet(d, order, nums, den):
     return j
 
 
+def _dot(d, order, pairs):
+    """The Jet sum of a * b over the jet pairs (a, b), at ``order``.
+
+    One pass over ``_mul_table``: every product is added into one numerator
+    list over the lcm of the pairs' denominators, normalised once.  Both
+    jets of each pair have order >= ``order``.
+    """
+    dens = [a.den * b.den for a, b in pairs]
+    den = lcm(*dens)
+    table = _mul_table(d, order)
+    out = [0] * len(table)
+    for (a, b), pd in zip(pairs, dens):
+        scale, b = den // pd, b.nums
+        for x, row in zip(a.nums, table):
+            if x:
+                x *= scale
+                for j, k in row:
+                    out[k] += x * b[j]
+    return _jet(d, order, out, den)
+
+
 class Jet:
     """Scalar jet: coefficients of the monomials of total degree <= order.
 
@@ -169,14 +196,7 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return self.__rmul__(other)
-        order = min(self.order, other.order)
-        b = other.nums
-        out = [0] * len(_monomials(self.d, order))
-        for x, row in zip(self.nums, _mul_table(self.d, order)):
-            if x:
-                for j, k in row:
-                    out[k] += x * b[j]
-        return _jet(self.d, order, out, self.den * other.den)
+        return _dot(self.d, min(self.order, other.order), [(self, other)])
 
     def __neg__(self):
         return _jet(self.d, self.order, [-x for x in self.nums], self.den)
@@ -189,6 +209,8 @@ class Jet:
                     self.den)
 
     def truncate(self, order):
+        if order == self.order:
+            return self
         n = len(_monomials(self.d, order))
         nums = self.nums[:n]
         nums += [0] * (n - len(nums))
@@ -277,15 +299,16 @@ def _rational_matrix_inverse(mat):
 
 
 def _mat_mul(a, b):
-    n = len(a)
-    return [[_sum_jets([a[i][k] * b[k][j] for k in range(n)])
-             for j in range(n)] for i in range(n)]
-
-
-def _sum_jets(js):
-    out = js[0]
-    for j in js[1:]:
-        out = out + j
+    """The product of two square matrices of jets, each entry one ``_dot``."""
+    n, d = len(a), a[0][0].d
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            pairs = [(a[i][k], b[k][j]) for k in range(n)]
+            row.append(_dot(d, min(min(x.order, y.order) for x, y in pairs),
+                            pairs))
+        out.append(row)
     return out
 
 
@@ -325,13 +348,14 @@ class TensorJet:
         return itertools.product(range(self.d), repeat=self.l + self.u)
 
     def __add__(self, other):
+        """The sum at the lesser order; a key only one side has is cut to it."""
         if (self.u, self.l) != (other.u, other.l):
             raise DegreeError("tensor degrees differ")
-        out = dict(self.comps)
-        for k, j in other.comps.items():
-            s = out.get(k)
-            out[k] = j if s is None else s + j
-        return TensorJet(self.u, self.l, self.d, min(self.order, other.order), out)
+        order = min(self.order, other.order)
+        out = {}
+        for k, j in itertools.chain(self.comps.items(), other.comps.items()):
+            _accumulate(out, k, j, order)
+        return TensorJet(self.u, self.l, self.d, order, out)
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -350,19 +374,25 @@ class TensorJet:
     def value(self, key):
         return self.comp(key).value()
 
+    def truncate(self, order):
+        """The tensor with every component cut to ``order``."""
+        if order == self.order:
+            return self
+        return TensorJet(self.u, self.l, self.d, order,
+                         {k: j.truncate(order) for k, j in self.comps.items()})
+
     def act(self, alpha):
         """Slot permutation: the new factor at position p is the old one at
         position alpha^-1(p), matching the action on graph externals."""
         pu, pl = alpha
         if len(pu) != self.u or len(pl) != self.l:
             raise DegreeError("permutation degree mismatch")
-        ipu, ipl = invert_perm(pu), invert_perm(pl)
+        # new key position p reads old key position src[p]
+        src = ([i - 1 for i in invert_perm(pl)]
+               + [self.l + i - 1 for i in invert_perm(pu)])
         out = {}
         for k, j in self.comps.items():
-            lows, ups = k[:self.l], k[self.l:]
-            nk = (tuple(lows[i - 1] for i in ipl)
-                  + tuple(ups[i - 1] for i in ipu))
-            _accumulate(out, nk, j, self.order)
+            _accumulate(out, tuple([k[i] for i in src]), j, self.order)
         return TensorJet(self.u, self.l, self.d, self.order, out)
 
     def product(self, other):
@@ -401,21 +431,22 @@ class TensorJet:
         return TensorJet(self.u, self.l + 1, self.d, self.order - 1, out)
 
     def contract_lower(self, pos, vec):
-        """Contract lower slot ``pos`` (1-based) with a (1,0) tensor."""
+        """Contract lower slot ``pos`` (1-based) with a (1,0) tensor.
+
+        The products are grouped by output key, and each group is summed by
+        one ``_dot`` at the lesser of the two orders.
+        """
         if vec.degree != (1, 0):
             raise DegreeError("contract_lower takes a vector")
-        out = {}
+        groups = {}
         for k, j in self.comps.items():
-            lows, ups = k[:self.l], k[self.l:]
-            idx = lows[pos - 1]
-            val = vec.comps.get((idx,))
-            if val is None:
-                continue
-            nk = lows[:pos - 1] + lows[pos:] + ups
-            pj = j * val
-            if pj:
-                _accumulate(out, nk, pj, self.order)
-        return TensorJet(self.u, self.l - 1, self.d, min(self.order, vec.order), out)
+            val = vec.comps.get((k[pos - 1],))
+            if val is not None:
+                groups.setdefault(k[:pos - 1] + k[pos:], []).append((j, val))
+        order = min(self.order, vec.order)
+        return TensorJet(self.u, self.l - 1, self.d, order,
+                         {k: _dot(self.d, order, pairs)
+                          for k, pairs in groups.items()})
 
     def __repr__(self):
         return f"TensorJet(({self.u},{self.l}), d={self.d}, o={self.order})"
@@ -445,16 +476,22 @@ class Valuation:
     equal values, so evaluating every labelling of a paired symbol gives
     the same jets as evaluating the merged canonical graphs.
 
+    A call works out the result's order R, the least order of the labelled
+    graphs (``_plan``), before it evaluates anything, and then evaluates
+    every graph at R: each generator is cut to R plus its star count before
+    it is derived, so no coefficient above R is made, and every component
+    of the result has order R.
+
     Rooted trees share their subtrees: each distinct labelled subtree is
-    contracted once per ``Valuation``, and its (1,0) tensor jet is kept in a
-    memo under the key ``(type name, sorted((slot, child key), ...))``, each
-    child key interned to a small index.  The derivative count is the number
-    of children less the type's in-arity, so it is in the key.  Native slots
-    keep their slot order; the star children (slot 0) are ordered by their
-    keys, not by vertex index.  That is exact: a k-times derived generator
-    is symmetric in its star slots, because partials commute on exact jets.
-    Like the generator cache, the memo assumes that ``gamma`` and ``sigmas``
-    do not change after construction.
+    contracted once per ``Valuation`` and order, and its (1,0) tensor jet is
+    kept in a memo under the key ``(type name, order, sorted((slot, child
+    key), ...))``, each child key interned to a small index.  The derivative
+    count is the number of children less the type's in-arity, so it is in
+    the key.  Native slots keep their slot order; the star children (slot 0)
+    are ordered by their keys, not by vertex index.  That is exact: a
+    k-times derived generator is symmetric in its star slots, because
+    partials commute on exact jets.  Like the generator cache, the memo
+    assumes that ``gamma`` and ``sigmas`` do not change after construction.
     """
 
     def __init__(self, gamma: TensorJet, sigmas):
@@ -467,41 +504,78 @@ class Valuation:
         self._subtree_ids = {}
         self._subtree_values = []
 
-    def generator_tensor(self, name, k=0):
-        """The jet of generator ``name`` derived k times, cached per (name, k).
+    def generator_tensor(self, name, k, order):
+        """The jet of generator ``name`` derived k times, at ``order``.
 
-        The cache relies on ``gamma`` and ``sigmas`` staying unchanged after
-        construction.
+        The generator is cut to order + k before it is derived.  Cached per
+        (name, k, order); the cache relies on ``gamma`` and ``sigmas``
+        staying unchanged after construction.
         """
-        tens = self._generators.get((name, k))
+        key = (name, k, order)
+        tens = self._generators.get(key)
         if tens is None:
-            tens = (self._generator(name) if k == 0
-                    else self.generator_tensor(name, k - 1).derive())
-            self._generators[(name, k)] = tens
+            tens = (self._generator(name, order) if k == 0
+                    else self.generator_tensor(name, k - 1, order + 1).derive())
+            self._generators[key] = tens
         return tens
 
-    def _generator(self, name):
+    def _generator(self, name, order):
+        """The jet of generator ``name`` cut to ``order``."""
         if name == GAMMA.name:
-            return 2 * self.gamma
+            return 2 * self.gamma.truncate(order)
+        if name == GPAIR.name:
+            return inverse_metric([s.truncate(order) for s in self.sigmas])
+        return self._noise(name).truncate(order)
+
+    def _jet_order(self, name):
+        """The order of the data behind generator ``name``; a plain noise,
+        which stands for each of its labels, takes the least noise order."""
+        if name == GAMMA.name:
+            return self.gamma.order
+        if name in (GPAIR.name, NOISE.name):
+            return min(s.order for s in self.sigmas)
+        return self._noise(name).order
+
+    def _noise(self, name):
         if name == NOISE.name:
             raise ValueError("plain noise needs a label; apply iota first")
         if name.startswith("Xi"):
-            i = int(name[2:])
-            return self.sigmas[i - 1]
-        if name == GPAIR.name:
-            return inverse_metric(self.sigmas)
+            return self.sigmas[int(name[2:]) - 1]
         raise ValueError(f"no jet for generator {name!r}")
 
+    def _plan(self, g):
+        """(whether g takes the tree path, the order of g's value).
+
+        The tree path takes the rooted trees of one-output vertices.  The
+        order is the least, over g's vertices, of the generator's jet order
+        less the vertex's star count, and off the tree path at most
+        ``self.order``.  A paired g gets the least order of its labellings,
+        which share its wiring and take every noise label at every pair.
+        """
+        tree = (g.u == 1 and g.l == 0 and all(t.out_arity == 1 for t in g.types)
+                and not g.has_directed_cycle())
+        stars = [0] * len(g.types)
+        for dst in g.wiring.values():
+            if dst[1] == 0:
+                stars[dst[0]] += 1
+        order = min((self._jet_order(t.name) - s
+                     for t, s in zip(g.types, stars)), default=self.order)
+        return tree, order if tree else min(order, self.order)
+
     def evaluate_graph(self, g: XGraph) -> TensorJet:
-        """Evaluate one graph; rooted trees use recursive contraction."""
+        """Evaluate one labelled graph at its own order."""
         if g.pairing:
             raise ValueError("evaluate_graph takes labelled (unpaired) graphs")
-        if (g.u == 1 and g.l == 0 and all(t.out_arity == 1 for t in g.types)
-                and not g.has_directed_cycle()):
-            return self._evaluate_tree(g)
-        return self._evaluate_decompose(g)
+        return self._evaluate(g, *self._plan(g))
 
-    def _evaluate_tree(self, g: XGraph) -> TensorJet:
+    def _evaluate(self, g, tree, order):
+        """g's value at ``order``, at most its own order; rooted trees use
+        recursive contraction."""
+        if tree:
+            return self._evaluate_tree(g, order)
+        return self._evaluate_decompose(g, order)
+
+    def _evaluate_tree(self, g: XGraph, order) -> TensorJet:
         # Every vertex has one output, so one parent: kids[v] lists the
         # (slot, child) pairs of v's inputs.
         kids = [[] for _ in g.types]
@@ -510,20 +584,21 @@ class Valuation:
                 root = v
             else:
                 kids[dst[0]].append((dst[1], v))
-        return self._subtree_values[self._subtree_index(g, kids, root)]
+        return self._subtree_values[self._subtree_index(g, kids, root, order)]
 
-    def _subtree_index(self, g, kids, v):
+    def _subtree_index(self, g, kids, v, order):
         """The memo index of the subtree rooted at v, valued on a miss."""
         t = g.types[v]
         slots = []
         for s, w in kids[v]:
-            slots.append((s, self._subtree_index(g, kids, w)))
+            slots.append((s, self._subtree_index(g, kids, w, order)))
         # (slot, child index), star slot 0 first; the stars in index order
         slots = tuple(sorted(slots))
-        key = (t.name, slots)
+        key = (t.name, order, slots)
         i = self._subtree_ids.get(key)
         if i is None:
-            tens = self.generator_tensor(t.name, len(slots) - t.in_arity)
+            tens = self.generator_tensor(t.name, len(slots) - t.in_arity,
+                                         order)
             # lower slots: [stars..., natives...]; contract from the front
             for _, c in slots:
                 tens = tens.contract_lower(1, self._subtree_values[c])
@@ -531,12 +606,12 @@ class Valuation:
             self._subtree_values.append(tens)
         return i
 
-    def _evaluate_decompose(self, g: XGraph) -> TensorJet:
+    def _evaluate_decompose(self, g: XGraph, order) -> TensorJet:
         m, alpha, parts = decompose(g)
-        prod = TensorJet(0, 0, self.d, self.order,
-                         {(): Jet.constant(self.d, self.order, 1)})
+        prod = TensorJet(0, 0, self.d, order,
+                         {(): Jet.constant(self.d, order, 1)})
         for dcount, t in parts:
-            prod = prod.product(self.generator_tensor(t.name, dcount))
+            prod = prod.product(self.generator_tensor(t.name, dcount, order))
         out = prod.act(alpha)
         for _ in range(m):
             out = out.trace()
@@ -546,23 +621,24 @@ class Valuation:
         """The linear extension of ``evaluate_graph`` to a LinComb or a graph.
 
         A paired graph stands for its labellings (``iota_expand``).  The
-        result's order is the least order of the evaluated graphs, its
-        degree that of the first term; no terms give the zero tensor of
-        degree (0, 0) and order ``self.order``.
+        result's order R, the least order of the labelled graphs, is known
+        before any of them is evaluated, and each is evaluated at R as it
+        comes.  The degree is that of the first term; no terms give the
+        zero tensor of degree (0, 0) and order ``self.order``.
         """
         terms = [(a, 1)] if isinstance(a, XGraph) else list(a.terms.items())
         u, l = terms[0][0].degree if terms else (0, 0)
+        plans = [self._plan(g) for g, _ in terms]
+        order = min((o for _, o in plans), default=self.order)
         m = len(self.sigmas)
-        comps, orders = {}, []
-        for g, c in terms:
+        comps = {}
+        for (g, c), (tree, _) in zip(terms, plans):
             for h, k in iota_expand(g, m) if g.pairing else [(g, 1)]:
-                val = self.evaluate_graph(h)
-                orders.append(val.order)
-                for key, j in val.comps.items():
+                for key, j in self._evaluate(h, tree, order).comps.items():
                     j = (c * k) * j
                     s = comps.get(key)
                     comps[key] = j if s is None else s + j
-        return TensorJet(u, l, self.d, min(orders, default=self.order), comps)
+        return TensorJet(u, l, self.d, order, comps)
 
 
 # -- differential geometry oracles ---------------------------------------------
@@ -663,11 +739,6 @@ def _walk(out, plan, values, j):
             yield from _walk(out, plan[1:], values, pj)
 
 
-def _truncated(t: TensorJet, order) -> TensorJet:
-    return TensorJet(t.u, t.l, t.d, order,
-                     {k: j.truncate(order) for k, j in t.comps.items()})
-
-
 def covariant_derivative(gamma: TensorJet, t: TensorJet) -> TensorJet:
     """nabla t, the new lower slot first as ``derive`` puts it.
 
@@ -676,7 +747,7 @@ def covariant_derivative(gamma: TensorJet, t: TensorJet) -> TensorJet:
     result's order first, so every product is taken at that order.
     """
     order = min(t.order - 1, gamma.order)
-    gamma = _truncated(gamma, order)
+    gamma = gamma.truncate(order)
     minus = -1 * gamma
     comps = {}
     for k, j in t.derive().comps.items():
@@ -714,7 +785,7 @@ def riemann(gamma: TensorJet) -> TensorJet:
     """
     # A = d_b G^a_ce + G^a_bz G^z_ce at (b, c, e, a); R = A - (A, b <-> c)
     order = gamma.order - 1
-    cut = _truncated(gamma, order)
+    cut = gamma.truncate(order)
     comps = {}
     for k, j in itertools.chain(gamma.derive().comps.items(),
                                 _einsum(["bza", "cez"], "bcea", (cut, cut))):

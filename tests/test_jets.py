@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gshe.algebra import LinComb, act, derive, product, trace
+from gshe.algebra import LinComb, act, decompose, derive, product, trace
 from gshe.jets import (InversionError, Jet, TensorJet, Valuation,
                        contract, covariant_derivative,
                        curvature_counterterm,
@@ -248,6 +248,33 @@ def test_contract_matches_product_and_trace(rng):
     # t_x^a g^{yb} h_{ab}: a lower slot of h meets the upper slot of t
     assert tensors_agree(contract("xa,yb,ab->xy", t, g, h),
                          contract("ab,xa->xb", h, t).product(g).trace())
+
+
+@pytest.mark.parametrize("d, l", [(2, 1), (2, 2), (3, 3)])
+def test_contract_lower_matches_contract(rng, d, l):
+    # the fused kernel against the einsum, at a tensor order above and
+    # below the vector's, for every lower slot
+    v = random_vector_field(rng, d, 3)
+    lows = "abc"[:l]
+    for t_order in (4, 2):
+        t = _random_tensor(rng, 1, l, d, t_order)
+        for p in range(1, l + 1):
+            spec = f"{lows}z,{lows[p - 1]}->{lows[:p - 1]}{lows[p:]}z"
+            got, want = t.contract_lower(p, v), contract(spec, t, v)
+            assert got == want and got.degree == want.degree, (t_order, p)
+            assert got.order == want.order == min(t_order, 3)
+            assert {j.order for j in got.comps.values()} == {got.order}
+
+
+def test_tensor_sum_cuts_one_sided_keys(rng):
+    d = 2
+    a = TensorJet(1, 0, d, 2, {(0,): random_jet(rng, d, 2)})
+    b = TensorJet(1, 0, d, 3, {(1,): random_jet(rng, d, 3)})
+    total = a + b
+    assert total.order == 2 and set(total.comps) == {(0,), (1,)}
+    assert {j.order for j in total.comps.values()} == {2}
+    assert total.comps[(1,)] == b.comps[(1,)].truncate(2)
+    assert total == b + a
 
 
 def test_contract_rejects_malformed_specs(rng):
@@ -745,6 +772,98 @@ def test_valuation_matches_merged_reference(rng):
         assert val(g) == val(LinComb.of(g))
 
 
+def _is_tree(g):
+    return (g.u == 1 and g.l == 0 and all(t.out_arity == 1 for t in g.types)
+            and not g.has_directed_cycle())
+
+
+def full_order_value(val, g):
+    """A labelled graph's value with every generator at its data's own
+    order, nothing cut: a rooted tree by one ``contract`` per vertex, any
+    other graph by ``decompose``; no memo, no cache."""
+    gens = {GAMMA.name: 2 * val.gamma, GPAIR.name: inverse_metric(val.sigmas)}
+    gens.update((labeled_noise(i).name, s)
+                for i, s in enumerate(val.sigmas, 1))
+
+    def derived(t, k):
+        tens = gens[t.name]
+        for _ in range(k):
+            tens = tens.derive()
+        return tens
+
+    if _is_tree(g):
+        kids = [[] for _ in g.types]
+        for (v, _), dst in g.wiring.items():
+            if dst[0] == "u":
+                root = v
+            else:
+                kids[dst[0]].append((dst[1], v))
+
+        def value(v):
+            slots = sorted(kids[v])  # stars (slot 0) first, natives in order
+            tens = derived(g.types[v], sum(s == 0 for s, _ in slots))
+            letters = "abcdefghij"[:len(slots)]
+            return contract(",".join([f"{letters}z", *letters]) + "->z",
+                            tens, *[value(w) for _, w in slots])
+        return value(root)
+    top = max(t.order for t in gens.values())
+    m, alpha, parts = decompose(g)
+    out = TensorJet(0, 0, val.d, top, {(): Jet.constant(val.d, top, 1)})
+    for k, t in parts:
+        out = out.product(derived(t, k))
+    out = out.act(alpha)
+    for _ in range(m):
+        out = out.trace()
+    return out
+
+
+@pytest.mark.parametrize("case", ["d2-order3", "d3-order2", "sphere"])
+def test_valuation_evaluates_at_the_result_order(rng, case):
+    # every basis symbol and mixed combinations: the result's order is the
+    # least order of the labelled graphs, every component has it, and each
+    # component is the full-order value cut to it
+    if case == "sphere":
+        sigmas, gamma = sphere_frame((0, 1, 0), order=2)
+    else:
+        d, order = (2, 3) if case == "d2-order3" else (3, 2)
+        gamma = random_gamma(rng, d, order)
+        sigmas = [random_vector_field(rng, d, order) for _ in range(2)]
+    val = Valuation(gamma, sigmas)
+    basis = full_basis()
+    combos = [LinComb.of(s) for s in basis]
+    combos += [LinComb((s, Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3)))
+                       for s in rng.sample(basis, 3)) for _ in range(4)]
+    if case == "sphere":  # sums past the tree path, capped at val.order
+        noises = [labeled_noise(1), labeled_noise(3)]
+        combos += [random_lincomb(rng, noises, n_terms=3, degree=deg,
+                                  max_vertices=3, max_low=0)
+                   for deg in ((1, 0), (2, 0))]
+    elif case == "d2-order3":
+        lgens = [labeled_noise(1), labeled_noise(2), GAMMA, GPAIR]
+        combos += [random_lincomb(rng, lgens, n_terms=3, degree=deg,
+                                  max_vertices=3, max_low=2)
+                   for deg in ((1, 0), (1, 1), (2, 1))]
+    values = {}
+    for a in combos:
+        labelled = [(h, c * k) for g, c in a.terms.items()
+                    for h, k in iota_expand(g, len(sigmas))]
+        order = min(val.evaluate_graph(h).order for h, _ in labelled)
+        want = {}
+        for h, c in labelled:
+            if h not in values:
+                values[h] = full_order_value(val, h)
+            ref = values[h]
+            assert val.evaluate_graph(h).order \
+                == (ref.order if _is_tree(h) else min(ref.order, val.order))
+            for key, j in ref.comps.items():
+                j = c * j.truncate(order)
+                want[key] = want[key] + j if key in want else j
+        got = val(a)
+        assert got.order == order, a
+        assert {j.order for j in got.comps.values()} <= {order}, a
+        assert got.comps == {k: j for k, j in want.items() if j}, a
+
+
 def jet_record(t):
     """Everything a tensor jet holds, per-component orders included."""
     return (t.degree, t.order,
@@ -792,7 +911,8 @@ def test_memoised_tree_matches_decomposition(rng):
     for types, wiring in trees:
         assert sum(dst == (0, 0) for dst in wiring.values()) >= 2
         g = XGraph(1, 0, types, wiring)
-        want = Valuation(val.gamma, val.sigmas)._evaluate_decompose(g)
+        fresh = Valuation(val.gamma, val.sigmas)
+        want = fresh._evaluate_decompose(g, fresh.evaluate_graph(g).order)
         assert want
         for _ in range(2):  # cold, then warm
             got = val.evaluate_graph(g)
