@@ -12,9 +12,11 @@ table into one numerator list and normalised once, so a contraction sums
 each output component in one pass.  ``TensorJet`` carries
 a (u, l)-indexed family of jets and realises the tensor operations mirroring
 the graph side: slot permutation, product, trace of the last upper/lower
-pair, derivation prepending a lower slot; a sum is taken at the lesser
-order, every component cut to it.  The valuation maps noise
-generators to vector-field jets and the Christoffel generator to twice the
+pair, derivation prepending a lower slot.  Every component of a tensor jet
+has exactly the tensor's order (the constructor cuts one above it and
+rejects one below it), so ``==`` compares tensors exactly and a sum is
+taken at the lesser order.  The valuation maps noise generators to
+vector-field jets and the Christoffel generator to twice the
 Christoffel jet, evaluates each graph by contraction (each distinct rooted
 subtree once per valuation and order), and extends linearly:
 a paired symbol is the sum over its labellings, each evaluated as it comes
@@ -22,8 +24,9 @@ a paired symbol is the sum over its labellings, each evaluated as it comes
 works out the result's order first and evaluates every graph at that order,
 so no coefficient above it is computed.
 The oracles the valuation is checked against (curvature, counterterms,
-Levi-Civita) use two primitives of their own: ``covariant_derivative``
-(``derive`` plus a connection term per slot) and ``contract`` (an einsum).
+Levi-Civita) use two primitives of their own: ``contract`` (an einsum that
+sums each output component with one ``_dot``) and ``covariant_derivative``
+(``derive`` plus one ``contract`` term per slot).
 """
 
 from __future__ import annotations
@@ -312,19 +315,20 @@ def _mat_mul(a, b):
     return out
 
 
-def _accumulate(out, key, j, order):
-    """out[key] += j, where a missing entry is the zero jet of ``order``."""
+def _accumulate(out, key, j):
+    """out[key] += j, where a missing entry is zero."""
     s = out.get(key)
-    if s is not None:
-        out[key] = s + j
-    elif j.order > order:
-        out[key] = j.truncate(order)
-    else:
-        out[key] = j
+    out[key] = j if s is None else s + j
 
 
 class TensorJet:
-    """A (u, l)-graded array of jets; keys are (lower..., upper...) tuples."""
+    """A (u, l)-graded array of jets; keys are (lower..., upper...) tuples.
+
+    Every stored component has exactly the tensor's ``order`` and is
+    nonzero: the constructor cuts a component above the order and drops one
+    that is zero after the cut.  A component below the order is an error,
+    since its missing coefficients are not known to be zero.
+    """
 
     __slots__ = ("u", "l", "d", "order", "comps")
 
@@ -333,6 +337,10 @@ class TensorJet:
         self.comps = {}
         if comps:
             for k, j in comps.items():
+                if j.order < order:
+                    raise ValueError(f"component {tuple(k)!r} has order "
+                                     f"{j.order} < {order}")
+                j = j.truncate(order)
                 if j:
                     self.comps[tuple(k)] = j
 
@@ -348,14 +356,14 @@ class TensorJet:
         return itertools.product(range(self.d), repeat=self.l + self.u)
 
     def __add__(self, other):
-        """The sum at the lesser order; a key only one side has is cut to it."""
+        """The sum at the lesser order."""
         if (self.u, self.l) != (other.u, other.l):
             raise DegreeError("tensor degrees differ")
-        order = min(self.order, other.order)
         out = {}
         for k, j in itertools.chain(self.comps.items(), other.comps.items()):
-            _accumulate(out, k, j, order)
-        return TensorJet(self.u, self.l, self.d, order, out)
+            _accumulate(out, k, j)
+        return TensorJet(self.u, self.l, self.d, min(self.order, other.order),
+                         out)
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -366,6 +374,7 @@ class TensorJet:
 
     def __eq__(self, other):
         return (isinstance(other, TensorJet) and self.degree == other.degree
+                and self.d == other.d and self.order == other.order
                 and self.comps == other.comps)
 
     def __bool__(self):
@@ -375,11 +384,10 @@ class TensorJet:
         return self.comp(key).value()
 
     def truncate(self, order):
-        """The tensor with every component cut to ``order``."""
+        """The tensor cut to ``order``, at most its own."""
         if order == self.order:
             return self
-        return TensorJet(self.u, self.l, self.d, order,
-                         {k: j.truncate(order) for k, j in self.comps.items()})
+        return TensorJet(self.u, self.l, self.d, order, self.comps)
 
     def act(self, alpha):
         """Slot permutation: the new factor at position p is the old one at
@@ -390,21 +398,16 @@ class TensorJet:
         # new key position p reads old key position src[p]
         src = ([i - 1 for i in invert_perm(pl)]
                + [self.l + i - 1 for i in invert_perm(pu)])
-        out = {}
-        for k, j in self.comps.items():
-            _accumulate(out, tuple([k[i] for i in src]), j, self.order)
-        return TensorJet(self.u, self.l, self.d, self.order, out)
+        return TensorJet(self.u, self.l, self.d, self.order,
+                         {tuple([k[i] for i in src]): j
+                          for k, j in self.comps.items()})
 
     def product(self, other):
         out = {}
         for k1, j1 in self.comps.items():
             l1, u1 = k1[:self.l], k1[self.l:]
             for k2, j2 in other.comps.items():
-                l2, u2 = k2[:other.l], k2[other.l:]
-                nk = l1 + l2 + u1 + u2
-                j = j1 * j2
-                if j:
-                    _accumulate(out, nk, j, self.order)
+                out[l1 + k2[:other.l] + u1 + k2[other.l:]] = j1 * j2
         return TensorJet(self.u + other.u, self.l + other.l, self.d,
                          min(self.order, other.order), out)
 
@@ -416,19 +419,14 @@ class TensorJet:
             lows, ups = k[:self.l], k[self.l:]
             if lows[-1] != ups[-1]:
                 continue
-            nk = lows[:-1] + ups[:-1]
-            _accumulate(out, nk, j, self.order)
+            _accumulate(out, lows[:-1] + ups[:-1], j)
         return TensorJet(self.u - 1, self.l - 1, self.d, self.order, out)
 
     def derive(self):
-        out = {}
-        for k, j in self.comps.items():
-            for b in range(self.d):
-                dj = j.partial(b)
-                if dj:
-                    nk = (b,) + k
-                    _accumulate(out, nk, dj, self.order)
-        return TensorJet(self.u, self.l + 1, self.d, self.order - 1, out)
+        return TensorJet(self.u, self.l + 1, self.d, self.order - 1,
+                         {(b,) + k: j.partial(b)
+                          for k, j in self.comps.items()
+                          for b in range(self.d)})
 
     def contract_lower(self, pos, vec):
         """Contract lower slot ``pos`` (1-based) with a (1,0) tensor.
@@ -454,16 +452,6 @@ class TensorJet:
 
 def vector_jet(d, order, jets) -> TensorJet:
     return TensorJet(1, 0, d, order, {(a,): j for a, j in enumerate(jets)})
-
-
-def tensors_agree(t1: TensorJet, t2: TensorJet) -> bool:
-    """Componentwise equality up to the common valid truncation order."""
-    if t1.degree != t2.degree or t1.d != t2.d:
-        return False
-    order = min(t1.order, t2.order)
-    keys = set(t1.comps) | set(t2.comps)
-    return all(t1.comp(k).truncate(order) == t2.comp(k).truncate(order)
-               for k in keys)
 
 
 # -- the valuation -------------------------------------------------------------
@@ -635,9 +623,7 @@ class Valuation:
         for (g, c), (tree, _) in zip(terms, plans):
             for h, k in iota_expand(g, m) if g.pairing else [(g, 1)]:
                 for key, j in self._evaluate(h, tree, order).comps.items():
-                    j = (c * k) * j
-                    s = comps.get(key)
-                    comps[key] = j if s is None else s + j
+                    _accumulate(comps, key, (c * k) * j)
         return TensorJet(u, l, self.d, order, comps)
 
 
@@ -681,7 +667,10 @@ def contract(spec, *tensors) -> TensorJet:
     Each input's letters name its key slots, (lower..., upper...); a letter
     repeated anywhere is summed over, one that occurs once is free and keeps
     its slot's kind.  The output lists the free letters, lower ones first.
-    Absent components are skipped; the order is the least input order.
+    Absent components are skipped; the order is the least input order.  The
+    products are grouped by output key and each group is summed by one
+    ``_dot``, whose pairs are (the product of the other inputs' components,
+    the last input's component); a single input is paired with 1.
     """
     ins, out = spec.split("->")
     ins = ins.split(",")
@@ -695,16 +684,19 @@ def contract(spec, *tensors) -> TensorJet:
     n_low = sum(x in lower for x in out)
     if any(x in lower for x in out[n_low:]):
         raise DegreeError(f"{spec!r}: output lower slots must come first")
-    order = min(t.order for t in tensors)
-    comps = {}
-    for key, j in _einsum(ins, out, tensors):
-        _accumulate(comps, key, j, order)
-    return TensorJet(len(out) - n_low, n_low, tensors[0].d, order, comps)
+    d, order = tensors[0].d, min(t.order for t in tensors)
+    first = Jet.constant(d, order, 1) if len(tensors) == 1 else None
+    groups = {}
+    for key, j, tj in _einsum(ins, out, tensors, first):
+        groups.setdefault(key, []).append((j, tj))
+    return TensorJet(len(out) - n_low, n_low, d, order,
+                     {k: _dot(d, order, pairs) for k, pairs in groups.items()})
 
 
-def _einsum(ins, out, tensors):
-    """Yield (output key, product jet) for each choice of one component per
-    input that agrees on every shared letter, for the caller to add up.
+def _einsum(ins, out, tensors, first):
+    """Yield (output key, j, last input's component) for each choice of one
+    component per input that agrees on every shared letter, where j is the
+    product of the other inputs' components, or ``first`` if there are none.
 
     Components are grouped by the letters earlier inputs bind and walked
     depth first, so no partial sum is built.  Keys are ``tuple([...])``:
@@ -722,43 +714,42 @@ def _einsum(ins, out, tensors):
         plan.append((shared, [(x, p) for x, p in slot.items()
                               if x not in bound], groups))
         bound.update(slot)
-    return _walk(out, plan, {}, None)
+    return _walk(out, plan, {}, first)
 
 
 def _walk(out, plan, values, j):
-    """The products below the partial choice ``values`` with product j."""
-    if not plan:
-        yield tuple([values[x] for x in out]), j
-        return
+    """The choices below the partial choice ``values`` with product j."""
     shared, new, groups = plan[0]
+    last = len(plan) == 1
     for k, tj in groups.get(tuple([values[x] for x in shared]), ()):
-        pj = tj if j is None else j * tj
-        if pj:
-            for x, p in new:
-                values[x] = k[p]
-            yield from _walk(out, plan[1:], values, pj)
+        for x, p in new:
+            values[x] = k[p]
+        if last:
+            yield tuple([values[x] for x in out]), j, tj
+        else:
+            pj = tj if j is None else j * tj
+            if pj:
+                yield from _walk(out, plan[1:], values, pj)
 
 
 def covariant_derivative(gamma: TensorJet, t: TensorJet) -> TensorJet:
     """nabla t, the new lower slot first as ``derive`` puts it.
 
-    One connection term per slot of t: +Gamma^a_{zn} t^{..n..} for an upper
-    slot a, -Gamma^n_{zb} t_{..n..} for a lower slot b.  Gamma is cut to the
-    result's order first, so every product is taken at that order.
+    ``derive`` plus one ``contract`` term per slot of t: +Gamma^a_{zn}
+    t^{..n..} for an upper slot a, -Gamma^n_{zb} t_{..n..} for a lower slot
+    b.  Gamma is cut to the result's order first, and t to one above it, so
+    every term is computed at that order.
     """
     order = min(t.order - 1, gamma.order)
     gamma = gamma.truncate(order)
     minus = -1 * gamma
-    comps = {}
-    for k, j in t.derive().comps.items():
-        _accumulate(comps, k, j, order)
+    out = t.truncate(order + 1).derive()
     slots = "abcdefghijklmnopqrstuvwxy"[:t.l + t.u]
     for p, x in enumerate(slots):
         head, g = (f"Z{x}z", minus) if p < t.l else (f"Zz{x}", gamma)
-        for k, j in _einsum([head, f"{slots[:p]}z{slots[p + 1:]}"],
-                            f"Z{slots}", (g, t)):
-            _accumulate(comps, k, j, order)
-    return TensorJet(t.u, t.l + 1, t.d, order, comps)
+        out = out + contract(f"{head},{slots[:p]}z{slots[p + 1:]}->Z{slots}",
+                             g, t)
+    return out
 
 
 def levi_civita(sigmas) -> TensorJet:
@@ -766,8 +757,8 @@ def levi_civita(sigmas) -> TensorJet:
 
     Gamma^a_{bc} = 1/2 g^{ae} (d_b g_{ec} + d_c g_{eb} - d_e g_{bc}).
     """
-    d, order = sigmas[0].d, sigmas[0].order
     ginv = inverse_metric(sigmas)
+    d, order = ginv.d, ginv.order
     gmat = matrix_inverse([[ginv.comp((a, b)) for b in range(d)]
                            for a in range(d)])
     dg = TensorJet(0, 2, d, order, {(e, c): gmat[e][c] for e in range(d)
@@ -781,17 +772,12 @@ def riemann(gamma: TensorJet) -> TensorJet:
     """Curvature (1,3) jet with slots in X, Y, Z order.
 
     comps[(b, c, e, a)] is the a-component of R(e_b, e_c) e_e =
-    (nabla_b nabla_c - nabla_c nabla_b) e_e, antisymmetric in (b, c).
+    (nabla_b nabla_c - nabla_c nabla_b) e_e, antisymmetric in (b, c): it is
+    A - A with b and c swapped, where A = d_b G^a_ce + G^a_bz G^z_ce.
     """
-    # A = d_b G^a_ce + G^a_bz G^z_ce at (b, c, e, a); R = A - (A, b <-> c)
-    order = gamma.order - 1
-    cut = gamma.truncate(order)
-    comps = {}
-    for k, j in itertools.chain(gamma.derive().comps.items(),
-                                _einsum(["bza", "cez"], "bcea", (cut, cut))):
-        _accumulate(comps, k, j, order)
-        _accumulate(comps, (k[1], k[0]) + k[2:], -j, order)
-    return TensorJet(1, 3, gamma.d, order, comps)
+    cut = gamma.truncate(gamma.order - 1)
+    a = gamma.derive() + contract("bza,cez->bcea", cut, cut)
+    return a - a.act(((1,), (2, 1, 3)))
 
 
 def curvature_counterterm(gamma: TensorJet, sigmas) -> TensorJet:
